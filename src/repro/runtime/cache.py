@@ -8,15 +8,27 @@ canonical JSON — with two layers:
   directory, default ``.repro_cache/``) that persists across runs so a
   repeated matrix/sweep/GA evaluation re-executes nothing.
 
-Disk entries embed the full canonical key next to the result. A lookup
-only counts as a hit when the stored key both hashes back to the file's
-address *and* equals the requesting spec's key — a poisoned or corrupt
-entry is therefore detected and ignored rather than silently served.
+Disk entries embed the full canonical key next to the result and the
+result's own SHA-256. A lookup or store encodes the spec's key once and
+hashes it once; that hash is the entry's address. A lookup only counts
+as a hit when the stored key equals the requesting spec's key. Equal
+keys have equal hashes, so that one comparison also proves the stored
+key addresses the file it sits in. An entry that fails a check — a
+different key, a result edited after it was written, or a file that
+parses to JSON but not to an object — counts as ``poisoned`` and is
+ignored rather than silently served; the executor then re-runs the
+trial and overwrites it.
+
+Entries are read and written as raw bytes through one file descriptor.
+A write goes to a temp file named for the writing process
+(``<sha>.json.<pid>.tmp``) and is then renamed over the entry, so
+concurrent writers of one digest never publish each other's half-written
+file. The fan-out directory is created only when that first open finds
+it missing.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from collections import OrderedDict
@@ -25,7 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
 from ..obs.metrics import Counter
-from .spec import TrialSpec
+from .spec import TrialSpec, canonical_json, key_address
 
 __all__ = [
     "CacheStats",
@@ -37,6 +49,14 @@ __all__ = [
 
 #: Default on-disk store location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+#: Encodes a disk entry: sorted keys, default separators. Byte-identical
+#: to ``json.dumps(entry, sort_keys=True)``, the format entries have
+#: always had on disk.
+_encode_entry = json.JSONEncoder(sort_keys=True).encode
+
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+_READ_CHUNK = 1 << 16
 
 #: Cache traffic. Non-deterministic: the disk store persists across
 #: runs, so hit/miss splits depend on what earlier runs left behind.
@@ -78,12 +98,37 @@ def canonical_sha(payload: Any) -> str:
     and the campaign ledger: any JSON-able value has exactly one digest,
     independent of dict insertion order.
     """
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return key_address(canonical_json(payload))
 
 
-# Internal alias kept for the entry-integrity checks below.
-_payload_sha = canonical_sha
+def _read_bytes(path: str) -> bytes:
+    """A whole file's bytes through one raw descriptor (no text layer)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while True:
+            chunk = os.read(fd, _READ_CHUNK)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+
+
+def _write_bytes(path: str, data: bytes) -> None:
+    """Create (or truncate) ``path`` and write ``data`` through one raw
+    descriptor, creating its directory only when the open finds it missing."""
+    try:
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
 
 
 def result_payload(result) -> Dict[str, Any]:
@@ -124,9 +169,9 @@ class ResultCache:
 
     # ------------------------------------------------------------------
 
-    def _disk_path(self, digest: str) -> Path:
+    def _disk_path(self, digest: str) -> str:
         # Two-level fan-out keeps directories small at scale.
-        return self.directory / digest[:2] / f"{digest}.json"
+        return f"{self.directory}/{digest[:2]}/{digest}.json"
 
     def _remember(self, digest: str, payload: Dict[str, Any]) -> None:
         self._memory[digest] = payload
@@ -137,24 +182,21 @@ class ResultCache:
     def _load_disk(self, digest: str, key: str) -> Optional[Dict[str, Any]]:
         if self.directory is None:
             return None
-        path = self._disk_path(digest)
         try:
-            entry = json.loads(path.read_text())
+            entry = json.loads(_read_bytes(self._disk_path(digest)).decode("utf-8"))
         except (OSError, ValueError):
             return None
-        stored_key = entry.get("spec")
-        stored_hash = hashlib.sha256(
-            str(stored_key).encode("utf-8")
-        ).hexdigest()
-        if stored_key != key or stored_hash != digest:
-            # Poisoned/corrupt entry: the content does not address itself.
+        # ``digest`` is the hash of ``key``, so a stored key equal to it
+        # also hashes to the file's address: renamed, collided and
+        # key-edited entries all fail this one comparison.
+        if not isinstance(entry, dict) or entry.get("spec") != key:
             self._poisoned()
             return None
         payload = entry.get("result")
         if not isinstance(payload, dict) or "outcome" not in payload:
             self._poisoned()
             return None
-        if entry.get("result_sha") != _payload_sha(payload):
+        if entry.get("result_sha") != canonical_sha(payload):
             # The result bytes were edited after the entry was written.
             self._poisoned()
             return None
@@ -168,14 +210,15 @@ class ResultCache:
 
     def lookup(self, spec: TrialSpec):
         """Return the cached TrialResult for ``spec``, or ``None``."""
-        digest = spec.spec_hash()
+        key = spec.canonical_key()
+        digest = key_address(key)
         payload = self._memory.get(digest)
         if payload is not None:
             self._memory.move_to_end(digest)
             self.stats.hits += 1
             _CACHE_LOOKUPS.inc(result="hit")
             return payload_result(payload)
-        payload = self._load_disk(digest, spec.canonical_key())
+        payload = self._load_disk(digest, key)
         if payload is not None:
             self._remember(digest, payload)
             self.stats.hits += 1
@@ -187,7 +230,8 @@ class ResultCache:
 
     def store(self, spec: TrialSpec, result) -> None:
         """Record ``result`` for ``spec`` in memory (and on disk if set)."""
-        digest = spec.spec_hash()
+        key = spec.canonical_key()
+        digest = key_address(key)
         payload = result_payload(result)
         self._remember(digest, payload)
         self.stats.stores += 1
@@ -195,14 +239,16 @@ class ResultCache:
         if self.directory is None:
             return
         path = self._disk_path(digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
         entry = {
-            "spec": spec.canonical_key(),
+            "spec": key,
             "result": payload,
-            "result_sha": _payload_sha(payload),
+            "result_sha": canonical_sha(payload),
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True))
+        # A temp file per writer process: concurrent writers of one
+        # digest never share one, so none publishes another's half-written
+        # bytes and none finds its own renamed away.
+        tmp = f"{path}.{os.getpid()}.tmp"
+        _write_bytes(tmp, _encode_entry(entry).encode("ascii"))
         os.replace(tmp, path)  # atomic publish: concurrent readers never
         # observe a half-written entry
 

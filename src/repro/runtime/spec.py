@@ -25,7 +25,14 @@ from typing import Any, Dict, Optional
 
 from ..obs.metrics import Counter
 
-__all__ = ["SpecError", "TrialSpec", "impairment_dict", "strategy_text"]
+__all__ = [
+    "SpecError",
+    "TrialSpec",
+    "canonical_json",
+    "impairment_dict",
+    "key_address",
+    "strategy_text",
+]
 
 #: Every executed trial, by target and outcome. Deterministic: the same
 #: spec batch yields the same tallies whatever the worker count.
@@ -34,6 +41,17 @@ _TRIAL_OUTCOMES = Counter(
     "Trials executed, by country/protocol/outcome/evasion-success",
     ("country", "protocol", "outcome", "succeeded"),
 )
+
+
+#: The one canonical JSON encoder: sorted keys, compact separators. Its
+#: output is byte-identical to ``json.dumps(value, sort_keys=True,
+#: separators=(",", ":"))``, which builds a fresh encoder on every call.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def key_address(key: str) -> str:
+    """Content address of a canonical key: its SHA-256 hex digest."""
+    return hashlib.sha256(key.encode("utf-8")).hexdigest()
 
 
 class SpecError(ValueError):
@@ -215,11 +233,11 @@ class TrialSpec:
 
     def canonical_key(self) -> str:
         """Deterministic string form: sorted-key compact JSON."""
-        return json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.as_dict())
 
     def spec_hash(self) -> str:
         """Content address of this spec (SHA-256 of the canonical key)."""
-        return hashlib.sha256(self.canonical_key().encode("utf-8")).hexdigest()
+        return key_address(self.canonical_key())
 
     # ------------------------------------------------------------------
     # Execution

@@ -6,6 +6,7 @@ disabling the cache really disables it.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -52,7 +53,7 @@ class TestResultCache:
         spec = spec_for(3)
         cache = ResultCache(tmp_path)
         cache.store(spec, spec.run())
-        path = cache._disk_path(spec.spec_hash())
+        path = Path(cache._disk_path(spec.spec_hash()))
         entry = json.loads(path.read_text())
         entry["spec"] = entry["spec"].replace('"seed":', '"seed_":')
         path.write_text(json.dumps(entry))
@@ -64,7 +65,7 @@ class TestResultCache:
         spec = spec_for(3)
         cache = ResultCache(tmp_path)
         cache.store(spec, spec.run())
-        path = cache._disk_path(spec.spec_hash())
+        path = Path(cache._disk_path(spec.spec_hash()))
         entry = json.loads(path.read_text())
         entry["result"]["succeeded"] = not entry["result"]["succeeded"]
         path.write_text(json.dumps(entry))
@@ -76,7 +77,7 @@ class TestResultCache:
         spec = spec_for(4)
         cache = ResultCache(tmp_path)
         cache.store(spec, spec.run())
-        cache._disk_path(spec.spec_hash()).write_text("{not json")
+        Path(cache._disk_path(spec.spec_hash())).write_text("{not json")
         fresh = ResultCache(tmp_path)
         assert fresh.lookup(spec) is None
 
@@ -86,8 +87,8 @@ class TestResultCache:
         spec_a, spec_b = spec_for(5), spec_for(6)
         cache = ResultCache(tmp_path)
         cache.store(spec_a, spec_a.run())
-        path_a = cache._disk_path(spec_a.spec_hash())
-        path_b = cache._disk_path(spec_b.spec_hash())
+        path_a = Path(cache._disk_path(spec_a.spec_hash()))
+        path_b = Path(cache._disk_path(spec_b.spec_hash()))
         path_b.parent.mkdir(parents=True, exist_ok=True)
         path_b.write_text(path_a.read_text())
         fresh = ResultCache(tmp_path)
