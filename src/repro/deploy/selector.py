@@ -72,6 +72,8 @@ class GeoStrategySelector:
     ) -> None:
         self._prefixes: List[Tuple[int, int, int, str]] = []  # net, mask, len, country
         self.table = dict(table if table is not None else RECOMMENDED_STRATEGIES)
+        # Strategy number -> (parsed deployed strategy, is_stateful()).
+        self._parsed: Dict[int, Tuple[Strategy, bool]] = {}
 
     def add_prefix(self, cidr: str, country: str) -> None:
         """Register a client prefix as belonging to a censored country."""
@@ -89,14 +91,25 @@ class GeoStrategySelector:
         return None
 
     def strategy_for(self, client_ip: str, protocol: str) -> Optional[Strategy]:
-        """Pick a strategy for one client, or ``None`` (no evasion needed)."""
+        """Pick a strategy for one client, or ``None`` (no evasion needed).
+
+        Each strategy number is parsed once per selector. A stateless
+        strategy is shared by every client; a stateful one (``stall``)
+        comes back as a private :meth:`~repro.core.dsl.Strategy.copy`
+        per call, so each connection starts from fresh state.
+        """
         country = self.country_for(client_ip)
         if country is None:
             return None
         number = self.table.get((country, protocol))
         if number is None:
             return None
-        return deployed_strategy(number)
+        parsed = self._parsed.get(number)
+        if parsed is None:
+            strategy = deployed_strategy(number)
+            parsed = self._parsed[number] = (strategy, strategy.is_stateful())
+        strategy, stateful = parsed
+        return strategy.copy() if stateful else strategy
 
 
 class PerClientEngine:
@@ -129,6 +142,8 @@ class PerClientEngine:
         #: falling back to the engine-wide ``protocol``.
         self.port_protocols = dict(port_protocols or {})
         self.decisions: Dict[tuple, Optional[Strategy]] = {}
+        # Client address -> its keys in ``decisions``, in SYN order.
+        self._client_keys: Dict[str, List[tuple]] = {}
 
     def _protocol_for(self, port: int) -> str:
         return self.port_protocols.get(port, self.protocol)
@@ -146,6 +161,7 @@ class PerClientEngine:
                 self.decisions[key] = self.selector.strategy_for(
                     packet.src, self._protocol_for(packet.dport)
                 )
+                self._client_keys.setdefault(packet.src, []).append(key)
         return [packet]
 
     def outbound_filter(self, packet: Packet) -> List[Packet]:
@@ -156,10 +172,14 @@ class PerClientEngine:
             return [packet]
         return strategy.apply_outbound(packet, self._rng_for(packet.dst))
 
+    def decisions_for(self, client_ip: str) -> List[Optional[Strategy]]:
+        """The decisions recorded for one client's connections, in SYN order."""
+        decisions = self.decisions
+        return [decisions[key] for key in self._client_keys.get(client_ip, ())]
+
     def forget_client(self, client_ip: str) -> None:
         """Drop every recorded decision for one client (flow recycled)."""
-        stale = [key for key in self.decisions if key[0] == client_ip]
-        for key in stale:
+        for key in self._client_keys.pop(client_ip, ()):
             del self.decisions[key]
 
 

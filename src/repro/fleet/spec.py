@@ -80,6 +80,7 @@ class FleetMixEntry:
     weight: float = 1.0
 
     def validate(self) -> None:
+        """Raise ``ValueError`` on an unknown country, protocol, OS or weight."""
         if self.country is not None:
             protocols = COUNTRY_PROTOCOLS.get(self.country)
             if protocols is None:
@@ -96,6 +97,7 @@ class FleetMixEntry:
             raise ValueError("mix weights must be positive")
 
     def label(self) -> str:
+        """The cohort's ``country/protocol`` label (``none`` if uncensored)."""
         return f"{self.country or 'none'}/{self.protocol}"
 
 
@@ -154,6 +156,7 @@ class FlowPlan:
     max_time: float
 
     def label(self) -> str:
+        """The flow's ``country/protocol`` label (``none`` if uncensored)."""
         return f"{self.country or 'none'}/{self.protocol}"
 
 
@@ -171,8 +174,9 @@ class FleetSpec:
         rate: Optional Poisson arrival rate (flows per virtual second);
             overrides ``spacing`` with seeded exponential gaps.
         max_time: Per-flow virtual deadline after arrival — identical to
-            a single trial's ``max_time``, and the moment the flow's
-            verdict freezes and recycling begins.
+            a single trial's ``max_time``. A flow still busy then is cut
+            off there, as a trial would be; one whose last event drains
+            earlier is finalized and recycled at that moment.
         trace: Per-flow trace capture: ``"none"`` (no events, flows
             eligible for packet-arena leases), ``"ring"`` (bounded tail
             of ``ring_events`` events per flow), or ``"full"`` (complete

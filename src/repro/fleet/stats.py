@@ -60,8 +60,9 @@ class FleetStats:
         self.latency_p90 = percentile(latencies, 0.90)
         self.latency_p99 = percentile(latencies, 0.99)
 
-        # Virtual makespan: the last flow's verdict freezes max_time
-        # after its arrival — the serving window of the whole run.
+        # Virtual makespan: the last arrival plus the max_time horizon
+        # every flow is served within — the serving window of the whole
+        # run (flows that drain sooner are finalized earlier).
         self.virtual_seconds = (
             round(max(r["arrival"] for r in records) + spec.max_time, 9)
             if records

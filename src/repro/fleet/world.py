@@ -19,16 +19,21 @@ server. The pieces that make that hold with *many* flows:
   flow's server stream (``Host.flow_rng_provider``), and the per-client
   strategy engine applies each flow's strategy with that flow's
   strategy stream (``PerClientEngine.rng_provider``);
-- a flow's verdict freezes at ``arrival + max_time`` via a deadline
-  event re-queued behind every already-scheduled event at that instant
-  — the exact inclusive-``until`` semantics of ``Trial.run`` — after
-  which the flow is closed: its remaining events are skipped (a trial
-  would never have run them) and its state recycles at quiescence.
+- every event touching a flow's objects is tagged with that flow, so a
+  flow whose last event has drained can change no more: it is
+  finalized and recycled on the spot, and its record is the one its
+  deadline would have read;
+- a flow still busy at ``arrival + max_time`` freezes there via a
+  world-level deadline event re-queued behind every already-scheduled
+  event at that instant — the exact inclusive-``until`` semantics of
+  ``Trial.run`` — after which the flow is closed: its remaining events
+  are skipped (a trial would never have run them) and its state
+  recycles when the last of them pops.
 
 Recycling on FIN/RST/timeout: endpoints leave the shared server's demux
-table as they close (pruning the server apps' connection lists), and at
-flow quiescence the router entry, engine decisions, and packet-arena
-lease are all returned.
+table as they close (pruning the server apps' connection lists), and
+once a finalized flow has drained the router entry, engine decisions,
+and packet-arena lease are all returned.
 """
 
 from __future__ import annotations
@@ -152,6 +157,7 @@ class _LiveFlow:
         "network",
         "client_app",
         "outcome_time",
+        "server_endpoints",
     )
 
     def __init__(self, plan: FlowPlan, handle: FlowHandle) -> None:
@@ -164,6 +170,8 @@ class _LiveFlow:
         self.network: Optional[Network] = None
         self.client_app = None
         self.outcome_time: Optional[float] = None
+        #: The flow's open server endpoints, in accept order (values unused).
+        self.server_endpoints: Dict[object, None] = {}
 
 
 class FleetWorld:
@@ -190,6 +198,7 @@ class FleetWorld:
         self.keep_traces = keep_traces
 
         self.scheduler = FlowScheduler()
+        self.scheduler.on_drain = self._drained
         self.arena = PacketArena(max_free=2048)
         self._use_leases = spec.trace == "none" and _fastpath.enabled()
 
@@ -208,6 +217,7 @@ class FleetWorld:
         self.server_host.attach(self.router)
         self.server_host.flow_rng_provider = self._server_rng_for
         self.server_host.on_endpoint_closed = self._endpoint_closed
+        self.server_host.accept_hooks.append(self._endpoint_accepted)
 
         self.selector = selector if selector is not None else fleet_selector()
         protocols = spec.protocols()
@@ -250,13 +260,22 @@ class FleetWorld:
             return flow.strategy_rng
         return self.engine.rng  # stray packet after recycle; never drawn in practice
 
+    def _endpoint_accepted(self, endpoint) -> None:
+        """Index a passive-open server endpoint under its flow."""
+        flow = self._flows.get(endpoint.remote_ip)
+        if flow is not None:
+            flow.server_endpoints[endpoint] = None
+
     def _endpoint_closed(self, endpoint) -> None:
-        """Prune recycled connections from the owning server app."""
+        """Prune closed connections from the owning server app and flow."""
         app = self.server_apps.get(endpoint.local_port)
         if app is not None:
             forget = getattr(app, "forget_connection", None)
             if forget is not None:
                 forget(endpoint)
+        flow = self._flows.get(endpoint.remote_ip)
+        if flow is not None:
+            flow.server_endpoints.pop(endpoint, None)
 
     # ------------------------------------------------------------------
     # Flow lifecycle
@@ -345,24 +364,42 @@ class FleetWorld:
 
         client_app.start()
         # The flow's verdict deadline — identical to Trial.run's
-        # ``network.run(until=max_time)`` horizon, relative to arrival.
-        self.scheduler.schedule(plan.max_time, lambda: self._deadline(flow))
+        # ``network.run(until=max_time)`` horizon, relative to arrival. A
+        # world-level event holding only the handle: it is not one of the
+        # flow's events, and it pins nothing of a flow retired before it.
+        self.scheduler.schedule_at_in(
+            None, self.scheduler.now + plan.max_time, self._deadline, (handle,)
+        )
 
     def _note_complete(self, flow: _LiveFlow) -> None:
         if flow.outcome_time is None:
             flow.outcome_time = self.scheduler.now
 
-    def _deadline(self, flow: _LiveFlow) -> None:
+    def _deadline(self, handle: FlowHandle) -> None:
         """Re-queue finalization behind this instant's remaining events.
 
         ``Trial.run(until=T)`` executes every event at exactly ``T``
-        before reading the verdict. The deadline timer was scheduled at
+        before reading the verdict. The deadline was scheduled at
         admission, so it sorts *before* same-instant events scheduled
         later; bouncing once through the queue runs after all of them
         (nothing in the simulator schedules at zero delay, so no new
-        same-instant events can appear behind the bounce).
+        same-instant events can appear behind the bounce). A flow that
+        drained earlier was already finalized and retired.
         """
-        self.scheduler.schedule_at(self.scheduler.now, self._finalize, (flow,))
+        if not handle.closed:
+            self.scheduler.schedule_at(
+                self.scheduler.now, self._finalize_open, (handle,)
+            )
+
+    def _finalize_open(self, handle: FlowHandle) -> None:
+        """Finalize the flow unless it already was (drained or at its deadline)."""
+        if not handle.closed:
+            self._finalize(self._flows[handle.client_ip])
+
+    def _drained(self, handle: FlowHandle) -> None:
+        """The flow has no event left: finalize it if still open, then recycle."""
+        self._finalize_open(handle)
+        self._recycle(handle)
 
     def _finalize(self, flow: _LiveFlow) -> None:
         """Freeze the verdict, record the flow, and begin recycling."""
@@ -372,8 +409,7 @@ class FleetWorld:
         country = plan.country or "none"
         strategy_hit = any(
             decision is not None
-            for key, decision in self.engine.decisions.items()
-            if key[0] == plan.client_ip
+            for decision in self.engine.decisions_for(plan.client_ip)
         )
         latency = (
             flow.outcome_time - plan.arrival
@@ -411,18 +447,16 @@ class FleetWorld:
 
         # Close the flow: its clock has ended. Remaining scheduled events
         # are skipped by the FlowScheduler (a dedicated trial would never
-        # have run them), and quiescence triggers full recycling.
-        handle = flow.handle
-        handle.closed = True
-        handle.on_quiescent = self._recycle
-        for endpoint in self.server_host.endpoints():
-            if endpoint.remote_ip == plan.client_ip:
-                endpoint._teardown()
+        # have run them), and the drain hook recycles the flow once none
+        # is left — here already, if tearing down cancels the last one.
+        flow.handle.closed = True
+        for endpoint in list(flow.server_endpoints):
+            endpoint._teardown()
         if self.on_flow_done is not None:
             self.on_flow_done(self, record)
 
     def _recycle(self, handle: FlowHandle) -> None:
-        """Return all per-flow state once the last flow event drained."""
+        """Return all per-flow state once the finalized flow has drained."""
         flow = self._flows.pop(handle.client_ip, None)
         self.router.unregister(handle.client_ip)
         self.engine.forget_client(handle.client_ip)

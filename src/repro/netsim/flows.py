@@ -7,15 +7,19 @@ deployed server handles thousands of concurrent client flows. Three
 pieces make that possible without touching single-flow semantics:
 
 - :class:`FlowHandle` — per-flow bookkeeping: the flow's trace, its
-  optional packet-arena lease, and an outstanding-event count used to
-  detect quiescence so resources can be recycled.
+  optional packet-arena lease, and a count of the flow's events that can
+  still run (queued and not cancelled).
 - :class:`FlowScheduler` — a :class:`~repro.netsim.events.Scheduler`
   whose heap entries carry the flow that scheduled them. Event ordering
   is byte-identical to the base scheduler (same ``(when, counter)``
   keys); the tag only adds per-flow accounting, per-flow packet-arena
   activation around each callback, and the ability to *retire* a flow —
   once a handle is closed its remaining events are skipped, exactly as a
-  ``Trial``'s post-``max_time`` events never run.
+  ``Trial``'s post-``max_time`` events never run. Cancelling a flow's
+  timer uncounts it at once, and whenever a flow's count reaches zero
+  the scheduler's single :attr:`~FlowScheduler.on_drain` hook is told:
+  nothing of that flow can run any more, so its owner may finalize and
+  recycle it without waiting for its horizon.
 - :class:`FlowRouter` — stands in as the deployed server host's
   ``network``: outbound server packets are routed to the per-flow
   :class:`~repro.netsim.network.Network` owning the destination client,
@@ -53,23 +57,14 @@ class FlowHandle:
             ``None``. Only legal with a :class:`NullTrace` (a recording
             trace would retain recycled packets) — same rule as
             :func:`repro.packets.pool.pooled`.
-        pending: Number of this flow's events still in the heap.
+        pending: Number of this flow's events that can still run: queued
+            in the heap and not cancelled. It reaches zero exactly when
+            nothing of the flow is left to run.
         closed: Once set, remaining events are skipped (the flow's clock
             has ended, like a trial reaching ``max_time``).
-        on_quiescent: Called once, with the handle, when the flow is
-            closed and its last event has drained — the safe point to
-            reclaim the lease and recycle per-flow state.
     """
 
-    __slots__ = (
-        "index",
-        "client_ip",
-        "trace",
-        "arena",
-        "pending",
-        "closed",
-        "on_quiescent",
-    )
+    __slots__ = ("index", "client_ip", "trace", "arena", "pending", "closed")
 
     def __init__(
         self,
@@ -84,11 +79,33 @@ class FlowHandle:
         self.arena = arena
         self.pending = 0
         self.closed = False
-        self.on_quiescent: Optional[Callable[["FlowHandle"], None]] = None
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "live"
         return f"FlowHandle(#{self.index} {self.client_ip} {state} pending={self.pending})"
+
+
+class _FlowTimer(Timer):
+    """A flow-tagged timer: cancelling it uncounts it from its flow at once.
+
+    ``_flow`` is cleared when the timer pops or is cancelled, so an entry
+    is uncounted exactly once however often :meth:`cancel` is called.
+    """
+
+    __slots__ = ("_scheduler", "_flow")
+
+    def __init__(self, scheduler: "FlowScheduler", flow: FlowHandle) -> None:
+        self.cancelled = False
+        self._scheduler = scheduler
+        self._flow = flow
+
+    def cancel(self) -> None:
+        """Prevent the callback from firing and stop counting it as live."""
+        self.cancelled = True
+        flow = self._flow
+        if flow is not None:
+            self._flow = None
+            self._scheduler._uncount(flow)
 
 
 class FlowScheduler(Scheduler):
@@ -104,13 +121,20 @@ class FlowScheduler(Scheduler):
     Around each flow-tagged callback the scheduler binds the flow: it
     becomes :attr:`current` (so events it schedules inherit the tag) and
     its arena lease, if any, becomes the active packet arena. Closed
-    flows' events are skipped without executing, and when a closed flow's
-    pending count reaches zero its ``on_quiescent`` hook fires.
+    flows' events are skipped without executing.
+
+    Attributes:
+        current: The flow whose event is running, or ``None``.
+        on_drain: Called with a flow's handle whenever its
+            :attr:`FlowHandle.pending` count reaches zero — after the
+            flow's current event returns, or at once when a timer is
+            cancelled from outside the flow's own events.
     """
 
     def __init__(self) -> None:
         super().__init__()
         self.current: Optional[FlowHandle] = None
+        self.on_drain: Optional[Callable[[FlowHandle], None]] = None
 
     # ------------------------------------------------------------------
     # Scheduling (tagging variants of the base API)
@@ -119,15 +143,17 @@ class FlowScheduler(Scheduler):
         """Schedule ``callback`` after ``delay``, tagged with the current flow."""
         if delay < 0:
             raise ValueError("delay must be non-negative")
-        timer = Timer()
         flow = self.current
+        if flow is None:
+            timer = Timer()
+        else:
+            timer = _FlowTimer(self, flow)
+            flow.pending += 1
         heapq.heappush(
             self._queue,
             (self.now + delay, self._counter, timer, callback, (), flow),
         )
         self._counter += 1
-        if flow is not None:
-            flow.pending += 1
         return timer
 
     def schedule_at(self, when: float, callback: Callable, args: tuple = ()) -> None:
@@ -143,13 +169,19 @@ class FlowScheduler(Scheduler):
             flow.pending += 1
 
     def schedule_at_in(
-        self, flow: FlowHandle, when: float, callback: Callable, args: tuple = ()
+        self,
+        flow: Optional[FlowHandle],
+        when: float,
+        callback: Callable,
+        args: tuple = (),
     ) -> None:
-        """Schedule a world-originated event explicitly tagged for ``flow``.
+        """Schedule an event explicitly tagged for ``flow``.
 
         Used for flow admission: the arrival event must already belong
         to the flow so the entire causal chain it starts — connect
-        timers, packet hops, retransmissions — inherits the tag.
+        timers, packet hops, retransmissions — inherits the tag. With
+        ``flow=None`` the event is world-level even when queued from
+        inside a flow's event, and no flow counts it.
         """
         if when < self.now:
             raise ValueError("cannot schedule into the past")
@@ -157,7 +189,8 @@ class FlowScheduler(Scheduler):
             self._queue, (when, self._counter, None, callback, args, flow)
         )
         self._counter += 1
-        flow.pending += 1
+        if flow is not None:
+            flow.pending += 1
 
     # ------------------------------------------------------------------
 
@@ -173,19 +206,21 @@ class FlowScheduler(Scheduler):
                 break
             pop(queue)
             timer = entry[2]
+            if timer is not None and timer.cancelled:
+                # A cancelled timer was uncounted when it was cancelled.
+                continue
             flow = entry[5]
             if flow is not None:
+                if timer is not None:
+                    timer._flow = None
                 flow.pending -= 1
                 if flow.closed:
                     # The flow's clock has ended: drop the event unrun
                     # (a single-flow trial never runs post-max_time
-                    # events either) and recycle at quiescence.
-                    self._check_quiescent(flow)
+                    # events either).
+                    if flow.pending == 0:
+                        self._drained(flow)
                     continue
-            if timer is not None and timer.cancelled:
-                if flow is not None:
-                    self._check_quiescent(flow)
-                continue
             if when > self.now:
                 self.now = when
             if flow is None:
@@ -200,17 +235,24 @@ class FlowScheduler(Scheduler):
                 finally:
                     self.current = previous
                     _pool._ACTIVE = previous_arena
-                self._check_quiescent(flow)
+                if flow.pending == 0:
+                    self._drained(flow)
             executed += 1
         if until is not None and (not queue or queue[0][0] > until):
             self.now = max(self.now, until)
         return executed
 
-    @staticmethod
-    def _check_quiescent(flow: FlowHandle) -> None:
-        if flow.closed and flow.pending == 0 and flow.on_quiescent is not None:
-            hook, flow.on_quiescent = flow.on_quiescent, None
-            hook(flow)
+    def _uncount(self, flow: FlowHandle) -> None:
+        """A live entry of ``flow`` was cancelled: lower its count."""
+        flow.pending -= 1
+        # Inside the flow's own event the check waits until that event
+        # returns (``run`` makes it), so the hook never interrupts it.
+        if flow.pending == 0 and flow is not self.current:
+            self._drained(flow)
+
+    def _drained(self, flow: FlowHandle) -> None:
+        if self.on_drain is not None:
+            self.on_drain(flow)
 
 
 class _RouterTrace:

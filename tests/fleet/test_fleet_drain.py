@@ -1,0 +1,135 @@
+"""Drain-time retirement: a flow is finalized once its last event has run.
+
+A flow with no event left to run can change no state before its
+deadline, so the world finalizes and recycles it on the spot; only a
+flow still busy at ``arrival + max_time`` waits for the deadline. These
+tests pin that the artifact is unchanged, that flows in flight no
+longer pile up for the whole horizon, that a cut-off flow still matches
+a ``Trial`` with the same horizon, and that a retired flow's world is
+released well before its deadline.
+"""
+
+from __future__ import annotations
+
+import gc
+import hashlib
+import weakref
+
+import pytest
+
+from repro.deploy import install_per_client
+from repro.eval.runner import Trial
+from repro.fleet import (
+    FleetMixEntry,
+    FleetSpec,
+    FleetWorld,
+    derive_flow_rngs,
+    fleet_selector,
+    flow_client_ip,
+    run_fleet,
+)
+from repro.runtime import trial_seed
+
+DENSE_SPEC = FleetSpec(clients=300, seed=1, spacing=0.05)
+#: SHA-256 of ``DENSE_SPEC``'s ``FleetStats.to_json()``, computed when
+#: every flow was held until its 40 s deadline.
+DENSE_SHA = "a5ef239b821f357dc6b347b458f08ef32e66f5c12a6b87b15a42379fe7c4981a"
+
+FLEET_SEED = 1234
+
+
+@pytest.fixture(scope="module")
+def dense_run():
+    peak = 0
+
+    def watch(world, record):
+        nonlocal peak
+        peak = max(peak, world.active_flows)
+
+    result = run_fleet(DENSE_SPEC, on_flow_done=watch)
+    return result, peak
+
+
+def test_dense_artifact_is_unchanged(dense_run):
+    result, _ = dense_run
+    digest = hashlib.sha256(result.stats.to_json().encode("utf-8")).hexdigest()
+    assert digest == DENSE_SHA
+
+
+def test_drained_flows_do_not_pile_up(dense_run):
+    # 300 arrivals in 15 s all fall inside one 40 s horizon: held to
+    # their deadlines, every flow would be in flight at once.
+    _, peak = dense_run
+    assert 1 < peak <= 100
+
+
+def live_entries(scheduler):
+    """Queued events of a scheduler that can still run."""
+    return [e for e in scheduler._queue if e[2] is None or not e[2].cancelled]
+
+
+def trial_for_flow0(country, protocol, max_time):
+    seed = trial_seed(FLEET_SEED, 0)
+    trial = Trial(
+        country,
+        protocol,
+        None,
+        seed=seed,
+        client_ip=flow_client_ip(country, 0),
+        capture_trace=True,
+        max_time=max_time,
+    )
+    install_per_client(
+        trial.server_host, fleet_selector(), protocol, derive_flow_rngs(seed).strategy
+    )
+    return trial
+
+
+@pytest.mark.parametrize("country,protocol", [("china", "http"), ("russia", "https")])
+def test_cut_off_flow_matches_trial_at_the_same_horizon(country, protocol):
+    full = trial_for_flow0(country, protocol, 40.0).run()
+    times = sorted({event.time for event in full.trace.events})
+    horizon = times[len(times) // 2]  # an event instant mid-exchange
+
+    trial = trial_for_flow0(country, protocol, horizon)
+    result = trial.run()
+    assert live_entries(trial.scheduler), "the horizon must cut the trial off"
+
+    spec = FleetSpec(
+        clients=1,
+        seed=FLEET_SEED,
+        mix=(FleetMixEntry(country, protocol),),
+        trace="full",
+        max_time=horizon,
+    )
+    world = FleetWorld(spec)
+    (record,) = world.run()
+    assert record["outcome"] == result.outcome
+    assert record["succeeded"] == result.succeeded
+    assert record["censored"] == result.censored
+    assert record["trace_digest"] == result.trace.digest()
+    assert world.active_flows == 0
+    assert world.server_host.endpoints() == []
+
+
+def test_drained_world_is_released_before_its_deadline():
+    spec = FleetSpec(clients=30, seed=1, spacing=1.0)
+    watched = {}
+    checked = []
+
+    def done(world, record):
+        flow = world._flows.get(record["client_ip"])
+        if not watched and flow is not None and flow.censor is not None:
+            # Finalized at drain time, long before its deadline.
+            assert world.scheduler.now < record["arrival"] + spec.max_time / 4
+            watched.update(
+                censor=weakref.ref(flow.censor), deadline=record["arrival"] + spec.max_time
+            )
+            return
+        if watched and not checked and world.scheduler.now > watched["deadline"] - 20:
+            assert world.scheduler.now < watched["deadline"]
+            gc.collect()
+            checked.append(watched["censor"]() is None)
+
+    FleetWorld(spec, on_flow_done=done).run()
+    assert checked == [True]

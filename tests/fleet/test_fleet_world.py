@@ -38,7 +38,11 @@ class TestRecycling:
         assert world.server_host.endpoints() == []
 
     def test_overlapping_flows_coexist(self):
-        """With arrivals much closer than max_time, flows pile up live."""
+        """With arrivals closer than a flow's run time, flows overlap live.
+
+        Flows retire when their last event drains (about a second for
+        most), not at ``max_time``, so only the ones still busy overlap.
+        """
         peak = 0
 
         def watch(world, record):
@@ -54,7 +58,7 @@ class TestRecycling:
     def test_arena_lease_reuse_across_flows(self):
         if not fastpath.enabled():
             pytest.skip("leases only activate on the fast path")
-        # Sequential flows (spacing > max_time): each flow quiesces and
+        # Sequential flows (spacing > max_time): each flow drains and
         # reclaims its lease before the next arrives, so later flows draw
         # recycled trios from the shared free list instead of allocating.
         world = small_world(trace="none", spacing=4.0, max_time=3.0)
@@ -70,8 +74,8 @@ class TestRecycling:
         world = small_world(trace="none")
         assert world._use_leases
         world.run()
-        # Flows overlap for the whole run here, so trios are reclaimed
-        # only as flows quiesce — but all of them land back on the arena.
+        # Flows overlap here, so trios are reclaimed only as flows
+        # drain — but all of them land back on the arena.
         assert world.arena.created > 0
         assert len(world.arena) == world.arena.created
         assert len(world.arena._live) == 0

@@ -14,6 +14,7 @@ from repro.deploy import (
 )
 from repro.eval import run_trial
 from repro.eval.runner import Trial
+from repro.packets import make_tcp_packet
 
 
 class TestCIDR:
@@ -62,6 +63,33 @@ class TestSelector:
         assert strategy is not None
         assert str(strategy) == str(deployed_strategy(RECOMMENDED_STRATEGIES[("china", "ftp")]))
         assert selector.strategy_for("8.8.8.8", "ftp") is None
+
+    def test_stateless_strategy_parsed_once_and_shared(self):
+        selector = self.make()
+        first = selector.strategy_for("10.1.0.2", "ftp")
+        assert not first.is_stateful()
+        assert selector.strategy_for("10.1.0.3", "ftp") is first
+        assert selector.strategy_for("10.1.0.2", "ftp") is first
+
+    def test_stateful_strategy_is_private_per_call(self):
+        selector = GeoStrategySelector()
+        selector.add_prefix("10.6.0.0/16", "russia")
+        first = selector.strategy_for("10.6.0.2", "https")
+        second = selector.strategy_for("10.6.0.3", "https")
+        assert first.is_stateful()
+        assert first is not second
+        assert str(first) == str(second) == str(deployed_strategy(15))
+
+        def synack():
+            return make_tcp_packet("192.0.2.1", "10.6.0.2", 443, 40000, flags="SA")
+
+        rng = random.Random(0)
+        # Strategy 15 stalls the first three SYN+ACKs: run one copy past
+        # its stall, and the other still starts from a fresh count.
+        assert [len(first.apply_outbound(synack(), rng)) for _ in range(4)] == [0, 0, 0, 1]
+        assert len(second.apply_outbound(synack(), rng)) == 0
+        third = selector.strategy_for("10.6.0.4", "https")
+        assert [len(third.apply_outbound(synack(), rng)) for _ in range(4)] == [0, 0, 0, 1]
 
     def test_recommended_table_covers_every_censored_pair(self):
         from repro.eval import COUNTRY_PROTOCOLS

@@ -22,8 +22,11 @@ def test_campaign_and_obs_trees_are_fully_documented():
         [
             REPO / "src" / "repro" / "campaign",
             REPO / "src" / "repro" / "obs",
+            REPO / "src" / "repro" / "fleet",
             REPO / "src" / "repro" / "censors" / "adaptive.py",
             REPO / "src" / "repro" / "core" / "evolution" / "coevolve.py",
+            REPO / "src" / "repro" / "netsim" / "flows.py",
+            REPO / "src" / "repro" / "deploy" / "selector.py",
         ]
     )
     assert violations == [], "\n".join(

@@ -3,8 +3,9 @@
 
 A small pydocstyle-flavoured checker with no dependencies, enforced in
 CI (and by ``tests/test_docstrings.py``) for ``src/repro/campaign``,
-``src/repro/obs``, ``src/repro/censors/adaptive.py``, and
-``src/repro/core/evolution/coevolve.py`` so new public APIs ship
+``src/repro/obs``, ``src/repro/fleet``, ``src/repro/censors/adaptive.py``,
+``src/repro/core/evolution/coevolve.py``, ``src/repro/netsim/flows.py``,
+and ``src/repro/deploy/selector.py`` so new public APIs ship
 documented. Arguments may be directories (checked recursively) or
 single files. Rules:
 
