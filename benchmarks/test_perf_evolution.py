@@ -6,7 +6,7 @@ generation-batched, canonical-dedup evaluator — plus a cache-warm rerun
 through a persistent :class:`~repro.runtime.ResultCache`, which must
 execute nothing.
 
-Honest about hardware (the executor/coldpath precedent): the batched
+Honest about hardware (the executor precedent): the batched
 engine's wall-clock win comes from three multiplicative sources — fewer
 genome evaluations (canonical dedup + memo), one executor dispatch per
 generation instead of one per individual, and the worker pool across the

@@ -18,8 +18,8 @@ import pathlib
 import time
 
 from repro.deploy import install_per_client
-from repro.eval.runner import Trial
-from repro.fleet import FleetSpec, FleetWorld, derive_flow_rngs, fleet_selector
+from repro.eval.runner import Trial, trial_rngs
+from repro.fleet import FleetSpec, FleetWorld, fleet_selector
 
 CLIENTS = 1000
 
@@ -80,7 +80,7 @@ def test_fleet_throughput_artifact(save_artifact):
                 trial.server_host,
                 fleet_selector(),
                 plan.protocol,
-                derive_flow_rngs(plan.seed).strategy,
+                trial_rngs(plan.seed).strategy,
             )
             trial.run()
 

@@ -24,7 +24,7 @@ from typing import Dict, Optional, Sequence
 from ..censors import CHINA_PROFILES, GreatFirewall
 from ..core import Strategy, deployed_strategy
 from .reference import CHINA_PROTOCOLS
-from .runner import Trial, run_trial, success_rate
+from .runner import Trial, middlebox_chain, run_trial, success_rate
 
 __all__ = [
     "protocol_dependence",
@@ -148,7 +148,7 @@ def _ttl_probe_once(
 ) -> bool:
     """One handshake + TTL-limited forbidden query; did the GFW react?"""
     from ..core import install_strategy
-    from ..netsim import Middlebox, Network, Scheduler
+    from ..netsim import Network, Scheduler
     from ..tcpstack import Host, SERVER_PERSONALITY, personality
 
     scheduler = Scheduler()
@@ -163,9 +163,9 @@ def _ttl_probe_once(
         "server", "192.0.2.10", scheduler, random.Random(rng_seed + 2), SERVER_PERSONALITY
     )
     gfw = GreatFirewall(rng=random.Random(rng_seed))
-    middleboxes = [Middlebox() for _ in range(server_hop - 1)]
-    middleboxes[censor_hop - 1] = gfw
-    network = Network(scheduler, client, server, middleboxes)
+    network = Network(
+        scheduler, client, server, middlebox_chain(gfw, (), censor_hop, server_hop)
+    )
     client.attach(network)
     server.attach(network)
     server.listen(9999, lambda ep: None)  # sink: ACKs, never replies

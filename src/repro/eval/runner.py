@@ -15,8 +15,9 @@ down and the client receives the correct, unaltered data.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from contextlib import nullcontext
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from ..apps import (
     DNSClient,
@@ -41,6 +42,7 @@ from ..censors import (
 )
 from ..core import Strategy, install_strategy
 from ..netsim import Impairment, Middlebox, Network, NullTrace, Scheduler, Trace
+from ..packets import pool
 from ..runtime.seeds import net_stream_seed, trial_seed
 from ..tcpstack import Host, SERVER_PERSONALITY, personality
 
@@ -57,6 +59,11 @@ __all__ = [
     "censored_workload",
     "benign_workload",
     "default_port",
+    "install_server_app",
+    "make_client_app",
+    "middlebox_chain",
+    "trial_rngs",
+    "TrialRngs",
 ]
 
 CLIENT_IP = "10.1.0.2"
@@ -171,6 +178,84 @@ def make_censor(
     raise ValueError(f"unknown country {country!r}")
 
 
+class TrialRngs(NamedTuple):
+    """The four RNG streams of one trial, in their derivation order."""
+
+    censor: random.Random
+    client: random.Random
+    server: random.Random
+    strategy: random.Random
+
+
+def trial_rngs(seed: int) -> TrialRngs:
+    """Split a trial seed into its censor, client, server and strategy streams.
+
+    The split is part of every recorded trace. A fleet flow with trial
+    seed ``s`` uses it too, so it draws the same numbers, in the same
+    order, as ``Trial(seed=s)``.
+    """
+    base = random.Random(seed)
+    return TrialRngs(*(random.Random(base.randrange(1 << 30)) for _ in range(4)))
+
+
+def middlebox_chain(
+    censor: Optional[Middlebox],
+    client_side_boxes: Sequence[Middlebox] = (),
+    censor_hop: int = DEFAULT_CENSOR_HOP,
+    server_hop: int = DEFAULT_SERVER_HOP,
+) -> List[Middlebox]:
+    """The path's middleboxes, client side first.
+
+    ``client_side_boxes`` come first, inert padding puts ``censor`` (if
+    any) at hop ``censor_hop``, and more padding puts the server at hop
+    ``server_hop``.
+    """
+    middleboxes = list(client_side_boxes)
+    middleboxes.extend(Middlebox() for _ in range(censor_hop - 1 - len(middleboxes)))
+    if censor is not None:
+        middleboxes.append(censor)
+    middleboxes.extend(Middlebox() for _ in range(server_hop - 1 - len(middleboxes)))
+    return middleboxes
+
+
+def install_server_app(host: Host, protocol: str, port: Optional[int] = None):
+    """Build the protocol's server app on ``host`` and start it listening.
+
+    ``port`` defaults to the protocol's :func:`default_port`.
+    """
+    app = _SERVER_CLASSES[protocol](
+        host, port if port is not None else default_port(protocol)
+    )
+    app.install()
+    return app
+
+
+def make_client_app(
+    host: Host,
+    country: Optional[str],
+    protocol: str,
+    server_ip: str,
+    port: int,
+    workload: Optional[dict] = None,
+    dns_tries: int = 3,
+):
+    """The protocol's client app on ``host``, built but not started.
+
+    It sends ``workload`` if given, else the censored workload when
+    ``country`` censors ``protocol`` and the benign one otherwise. A DNS
+    client makes ``dns_tries`` attempts unless the workload sets
+    ``tries``.
+    """
+    params = workload if workload is not None else (
+        censored_workload(country, protocol)
+        if (country, protocol) in _CENSORED_WORKLOADS
+        else benign_workload(protocol)
+    )
+    if protocol == "dns":
+        params.setdefault("tries", dns_tries)
+    return _CLIENT_CLASSES[protocol](host, server_ip, port, **params)
+
+
 @dataclass
 class TrialResult:
     """Outcome of one trial.
@@ -237,23 +322,19 @@ class Trial:
         if self.impairment is not None:
             # The impairment stream is split from the trial seed with a
             # domain salt (or pinned by an explicit net_seed) rather than
-            # drawn from ``base`` below: consuming ``base`` here would
-            # shift the censor/client/server/strategy streams and change
-            # every existing trace.
+            # added to the trial_rngs split below: one more draw there
+            # would shift the censor/client/server/strategy streams and
+            # change every existing trace.
             net_rng = random.Random(
                 net_seed if net_seed is not None else net_stream_seed(seed)
             )
-        base = random.Random(seed)
-        censor_rng = random.Random(base.randrange(1 << 30))
-        client_rng = random.Random(base.randrange(1 << 30))
-        server_rng = random.Random(base.randrange(1 << 30))
-        strategy_rng = random.Random(base.randrange(1 << 30))
+        rngs = trial_rngs(seed)
 
         self.client_host = Host(
-            "client", client_ip, self.scheduler, client_rng, personality(client_os)
+            "client", client_ip, self.scheduler, rngs.client, personality(client_os)
         )
         self.server_host = Host(
-            "server", server_ip, self.scheduler, server_rng, SERVER_PERSONALITY
+            "server", server_ip, self.scheduler, rngs.server, SERVER_PERSONALITY
         )
 
         if censor is not None and censor_params is not None:
@@ -261,15 +342,11 @@ class Trial:
         self.censor = (
             censor
             if censor is not None
-            else make_censor(country, censor_rng, censor_params)
+            else make_censor(country, rngs.censor, censor_params)
         )
-        middleboxes: List[Middlebox] = list(client_side_boxes)
-        pad_before = censor_hop - 1 - len(middleboxes)
-        middleboxes.extend(Middlebox() for _ in range(max(0, pad_before)))
-        if self.censor is not None:
-            middleboxes.append(self.censor)
-        while len(middleboxes) < server_hop - 1:
-            middleboxes.append(Middlebox())
+        middleboxes = middlebox_chain(
+            self.censor, client_side_boxes, censor_hop, server_hop
+        )
 
         self.server_engine = None
         if (
@@ -285,15 +362,16 @@ class Trial:
                 raise ValueError(
                     "strategy_at_hop must lie between the censor and the server"
                 )
-            proxy = StrategyMiddlebox(server_strategy, strategy_rng)
+            proxy = StrategyMiddlebox(server_strategy, rngs.strategy)
             middleboxes[strategy_at_hop - 1] = proxy
             self.server_engine = proxy
             server_strategy = None
 
         # Rate-only consumers (success_rate, matrices, GA fitness) pass
         # capture_trace=False: trace recording — and its per-event packet
-        # copy — collapses to a no-op, and the trial becomes eligible for
-        # packet pooling (nothing retains packets past the trial).
+        # copy — collapses to a no-op, and run() pools packets (nothing
+        # retains them past the trial).
+        self._pooled = not capture_trace
         self.network = Network(
             self.scheduler,
             self.client_host,
@@ -308,32 +386,30 @@ class Trial:
 
         if server_strategy is not None and not server_strategy.is_noop():
             self.server_engine = install_strategy(
-                self.server_host, server_strategy, strategy_rng
+                self.server_host, server_strategy, rngs.strategy
             )
         self.client_engine = None
         if client_strategy is not None and not client_strategy.is_noop():
             self.client_engine = install_strategy(
-                self.client_host, client_strategy, strategy_rng
+                self.client_host, client_strategy, rngs.strategy
             )
 
         port = server_port if server_port is not None else default_port(protocol)
-        self.server_app = _SERVER_CLASSES[protocol](self.server_host, port)
-        self.server_app.install()
-
-        params = workload if workload is not None else (
-            censored_workload(country, protocol)
-            if country is not None and (country, protocol) in _CENSORED_WORKLOADS
-            else benign_workload(protocol)
+        self.server_app = install_server_app(self.server_host, protocol, port)
+        self.client_app = make_client_app(
+            self.client_host, country, protocol, server_ip, port, workload, dns_tries
         )
-        client_cls = _CLIENT_CLASSES[protocol]
-        if protocol == "dns":
-            params.setdefault("tries", dns_tries)
-        self.client_app = client_cls(self.client_host, server_ip, port, **params)
 
     def run(self) -> TrialResult:
-        """Execute the trial to quiescence and report the outcome."""
-        self.client_app.start()
-        self.network.run(until=self.max_time)
+        """Execute the trial to quiescence and report the outcome.
+
+        A trial built with ``capture_trace=False`` runs with the packet
+        arena active (:func:`repro.packets.pool.pooled`): its
+        ``NullTrace`` keeps no packet, so every one can be recycled.
+        """
+        with pool.pooled() if self._pooled else nullcontext():
+            self.client_app.start()
+            self.network.run(until=self.max_time)
         outcome = self.client_app.outcome or "timeout"
         return TrialResult(
             outcome=outcome,

@@ -10,7 +10,7 @@ The design contract, enforced by ``tests/fleet``: a fleet world with
 exactly one flow is bit-identical — verdicts and trace digests — to the
 classic per-connection :class:`~repro.eval.runner.Trial` path, and a
 same-seed run produces a byte-identical :class:`FleetStats` artifact
-regardless of repeats, worker counts, or ``REPRO_FASTPATH``.
+regardless of repeats or worker counts.
 
 Entry points: :func:`run_fleet` (library), ``python -m repro fleet``
 (CLI), docs in ``docs/fleet.md``.
@@ -26,7 +26,7 @@ from .spec import (
     flow_client_ip,
 )
 from .stats import FleetStats, percentile
-from .world import FleetWorld, FlowRngs, derive_flow_rngs, fleet_selector
+from .world import FleetWorld, fleet_selector
 
 __all__ = [
     "COUNTRY_PREFIXES",
@@ -37,8 +37,6 @@ __all__ = [
     "FleetStats",
     "FleetWorld",
     "FlowPlan",
-    "FlowRngs",
-    "derive_flow_rngs",
     "fleet_selector",
     "flow_client_ip",
     "percentile",

@@ -14,8 +14,9 @@ merged, index-sorted records are therefore byte-identical for any worker
 count, which the determinism suite and the ``fleet-smoke`` CI job pin.
 
 Metric snapshots from workers fold into the caller's registry with the
-same associative merge the trial executor uses, keeping observability
-worker-count-independent too.
+same associative merge the trial executor uses, and the flow-latency
+histogram is observed once, from the merged records in flow-index order,
+so its float sums do not depend on the worker count either.
 """
 
 from __future__ import annotations
@@ -23,13 +24,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from .. import fastpath as _fastpath
-from ..obs.metrics import active_registry, collecting, is_collecting
+from ..obs.metrics import Histogram, active_registry, collecting, is_collecting
 from .spec import FleetSpec
 from .stats import FleetStats
 from .world import FleetWorld
 
 __all__ = ["FleetResult", "run_fleet"]
+
+#: Observed from the merged records in flow-index order, not as flows
+#: finalize: a float sum depends on the order of its terms, and the
+#: finalize order depends on how the flows were sharded.
+_FLEET_LATENCY = Histogram(
+    "repro_fleet_flow_latency_seconds",
+    "Virtual seconds from flow arrival to its terminal app outcome",
+    ("country",),
+    buckets=(0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0),
+)
 
 
 @dataclass
@@ -51,7 +61,6 @@ class FleetResult:
 def _run_shard(payload: dict):
     """Worker entry: simulate one round-robin shard of the plan list."""
     spec: FleetSpec = payload["spec"]
-    _fastpath.set_enabled(payload["fastpath"])
     plans = spec.flow_plans()[payload["worker"] :: payload["workers"]]
     if not plans:
         return [], None
@@ -81,18 +90,26 @@ def run_fleet(
         keep_world: Keep the world object on the result (serial only),
             for tests poking at recycling internals.
     """
+    world = None
     if workers <= 1:
         world = FleetWorld(spec, on_flow_done=on_flow_done)
         records = world.run()
-        stats = FleetStats(spec, records)
-        return FleetResult(stats, records, world=world if keep_world else None)
+    else:
+        records = _run_sharded(spec, workers)
+    for record in records:
+        if record["latency"] is not None:
+            _FLEET_LATENCY.observe(record["latency"], country=record["country"])
+    stats = FleetStats(spec, records)
+    return FleetResult(stats, records, world=world if keep_world else None)
 
+
+def _run_sharded(spec: FleetSpec, workers: int) -> List[dict]:
+    """Simulate ``spec`` over a process pool; merged records by flow index."""
     payloads = [
         {
             "spec": spec,
             "worker": index,
             "workers": workers,
-            "fastpath": _fastpath.enabled(),
             "collect": is_collecting(),
         }
         for index in range(workers)
@@ -114,5 +131,4 @@ def run_fleet(
         if snapshot is not None and is_collecting():
             active_registry().merge_snapshot(snapshot)
     records.sort(key=lambda record: record["flow"])
-    stats = FleetStats(spec, records)
-    return FleetResult(stats, records, world=None)
+    return records

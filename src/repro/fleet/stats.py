@@ -9,9 +9,9 @@ the SYN-time strategy selection fired and how often it evaded.
 
 Everything here is a pure function of the records, which are themselves
 sorted by global flow index, so the JSON artifact
-(:meth:`FleetStats.to_json`) is byte-identical across repeats, worker
-counts, and ``REPRO_FASTPATH`` settings — the property the ``fleet-smoke``
-CI job diffs for. Wall-clock numbers never enter the artifact.
+(:meth:`FleetStats.to_json`) is byte-identical across repeats and worker
+counts — the property the ``fleet-smoke`` CI job diffs for. Wall-clock
+numbers never enter the artifact.
 """
 
 from __future__ import annotations

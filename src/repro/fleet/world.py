@@ -2,19 +2,21 @@
 
 A :class:`FleetWorld` holds a single :class:`~repro.netsim.flows.FlowScheduler`
 driving one shared, strategy-deploying server host and an arrival stream
-of per-flow world slices. Each admitted flow gets exactly the topology a
-:class:`~repro.eval.runner.Trial` would have built — its own client host,
-censor instance, padded middlebox chain, and per-flow trace — wired to
-the *shared* server through a :class:`~repro.netsim.flows.FlowRouter`.
+of per-flow world slices. Each admitted flow gets the topology a
+:class:`~repro.eval.runner.Trial` builds, from the same helpers in
+:mod:`repro.eval.runner` — its own client host, censor instance, padded
+middlebox chain, client app and per-flow trace — wired to the *shared*
+server through a :class:`~repro.netsim.flows.FlowRouter`.
 
 Single-flow equivalence is the design invariant: for a world with one
 flow arriving at t=0, every event (timestamps, RNG draws, trace lines)
 is bit-identical to ``Trial(...)`` plus ``install_per_client`` on its
 server. The pieces that make that hold with *many* flows:
 
-- per-flow RNG streams (:func:`derive_flow_rngs`) replicate the trial's
-  seed derivation, including the server host's construction-time
-  ephemeral-port draw, so sharing one server host costs no draws;
+- per-flow RNG streams come from the trial's own seed split
+  (:func:`~repro.eval.runner.trial_rngs`), and admission mirrors the
+  server host's construction-time ephemeral-port draw, so sharing one
+  server host costs no draws;
 - the shared server host's passive endpoints draw from the owning
   flow's server stream (``Host.flow_rng_provider``), and the per-client
   strategy engine applies each flow's strategy with that flow's
@@ -39,57 +41,27 @@ and packet-arena lease are all returned.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, Optional
 
-from .. import fastpath as _fastpath
-from ..apps import (
-    DNSClient,
-    DNSServer,
-    FTPClient,
-    FTPServer,
-    HTTPClient,
-    HTTPSClient,
-    HTTPSServer,
-    HTTPServer,
-    SMTPClient,
-    SMTPServer,
-)
 from ..deploy import GeoStrategySelector, PerClientEngine
 from ..eval.runner import (
-    _CENSORED_WORKLOADS,
-    DEFAULT_CENSOR_HOP,
-    DEFAULT_SERVER_HOP,
     SERVER_IP,
-    benign_workload,
-    censored_workload,
     default_port,
+    install_server_app,
     make_censor,
+    make_client_app,
+    middlebox_chain,
+    trial_rngs,
 )
-from ..netsim import Middlebox, Network, NullTrace, RingTrace, Trace
+from ..netsim import Network, NullTrace, RingTrace, Trace
 from ..netsim.flows import FlowHandle, FlowRouter, FlowScheduler
-from ..obs.metrics import Counter, Histogram
+from ..obs.metrics import Counter
 from ..packets.pool import PacketArena
 from ..runtime.seeds import fleet_stream_seed
 from ..tcpstack import Host, SERVER_PERSONALITY, personality
 from .spec import COUNTRY_PREFIXES, FleetSpec, FlowPlan
 
-__all__ = ["FleetWorld", "FlowRngs", "derive_flow_rngs", "fleet_selector"]
-
-_CLIENT_CLASSES = {
-    "http": HTTPClient,
-    "https": HTTPSClient,
-    "dns": DNSClient,
-    "ftp": FTPClient,
-    "smtp": SMTPClient,
-}
-
-_SERVER_CLASSES = {
-    "http": HTTPServer,
-    "https": HTTPSServer,
-    "dns": DNSServer,
-    "ftp": FTPServer,
-    "smtp": SMTPServer,
-}
+__all__ = ["FleetWorld", "fleet_selector"]
 
 #: Terminal flow verdicts, labelled like the rest of the repro metrics.
 _FLEET_FLOWS = Counter(
@@ -101,38 +73,6 @@ _FLEET_RECYCLED = Counter(
     "repro_fleet_recycled_total",
     "Fleet flows fully recycled (router/engine/lease state returned)",
 )
-_FLEET_LATENCY = Histogram(
-    "repro_fleet_flow_latency_seconds",
-    "Virtual seconds from flow arrival to its terminal app outcome",
-    ("country",),
-    buckets=(0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 40.0),
-)
-
-
-class FlowRngs(NamedTuple):
-    """The four per-flow RNG streams, in a trial's derivation order."""
-
-    censor: random.Random
-    client: random.Random
-    server: random.Random
-    strategy: random.Random
-
-
-def derive_flow_rngs(flow_seed: int) -> FlowRngs:
-    """Replicate ``Trial``'s per-seed RNG stream derivation exactly.
-
-    A trial seeds ``random.Random(seed)`` and splits censor, client,
-    server, and strategy streams off it in that order. Fleet flows use
-    the same split so a flow with trial seed ``s`` draws the same
-    numbers, in the same order, as ``Trial(seed=s)`` would.
-    """
-    base = random.Random(flow_seed)
-    return FlowRngs(
-        censor=random.Random(base.randrange(1 << 30)),
-        client=random.Random(base.randrange(1 << 30)),
-        server=random.Random(base.randrange(1 << 30)),
-        strategy=random.Random(base.randrange(1 << 30)),
-    )
 
 
 def fleet_selector() -> GeoStrategySelector:
@@ -200,7 +140,7 @@ class FleetWorld:
         self.scheduler = FlowScheduler()
         self.scheduler.on_drain = self._drained
         self.arena = PacketArena(max_free=2048)
-        self._use_leases = spec.trace == "none" and _fastpath.enabled()
+        self._use_leases = spec.trace == "none"
 
         # The deployed server. Its own RNG stream is domain-separated
         # from every flow seed and is only consumed at construction (the
@@ -233,10 +173,8 @@ class FleetWorld:
 
         self.server_apps = {}
         for protocol in protocols:
-            port = default_port(protocol)
-            app = _SERVER_CLASSES[protocol](self.server_host, port)
-            app.install()
-            self.server_apps[port] = app
+            app = install_server_app(self.server_host, protocol)
+            self.server_apps[app.port] = app
 
         self._flows: Dict[str, _LiveFlow] = {}
         self._next_plan = 0
@@ -307,7 +245,7 @@ class FleetWorld:
         """Build the flow's world slice (runs bound to the flow)."""
         self._schedule_next_arrival()
 
-        rngs = derive_flow_rngs(plan.seed)
+        rngs = trial_rngs(plan.seed)
         client_host = Host(
             "client",
             plan.client_ip,
@@ -316,18 +254,11 @@ class FleetWorld:
             personality(plan.client_os),
         )
         censor = make_censor(plan.country, rngs.censor)
-        middleboxes: List[Middlebox] = [
-            Middlebox() for _ in range(DEFAULT_CENSOR_HOP - 1)
-        ]
-        if censor is not None:
-            middleboxes.append(censor)
-        while len(middleboxes) < DEFAULT_SERVER_HOP - 1:
-            middleboxes.append(Middlebox())
         network = Network(
             self.scheduler,
             client_host,
             self.server_host,
-            middleboxes,
+            middlebox_chain(censor),
             trace=handle.trace,
         )
         client_host.attach(network)
@@ -346,17 +277,12 @@ class FleetWorld:
         flow.network = network
         self._flows[plan.client_ip] = flow
 
-        params = (
-            censored_workload(plan.country, plan.protocol)
-            if plan.country is not None
-            and (plan.country, plan.protocol) in _CENSORED_WORKLOADS
-            else benign_workload(plan.protocol)
-        )
-        if plan.protocol == "dns":
-            params.setdefault("tries", 3)
-        port = default_port(plan.protocol)
-        client_app = _CLIENT_CLASSES[plan.protocol](
-            client_host, SERVER_IP, port, **params
+        client_app = make_client_app(
+            client_host,
+            plan.country,
+            plan.protocol,
+            SERVER_IP,
+            default_port(plan.protocol),
         )
         client_app.on_complete = lambda outcome: self._note_complete(flow)
         flow.client_app = client_app
@@ -440,8 +366,6 @@ class FleetWorld:
         }
         self.records.append(record)
         _FLEET_FLOWS.inc(country=country, protocol=plan.protocol, outcome=outcome)
-        if latency is not None:
-            _FLEET_LATENCY.observe(latency, country=country)
         if self.keep_traces:
             self.traces[plan.index] = flow.handle.trace
 

@@ -88,20 +88,31 @@ class FlowHandle:
 class _FlowTimer(Timer):
     """A flow-tagged timer: cancelling it uncounts it from its flow at once.
 
-    ``_flow`` is cleared when the timer pops or is cancelled, so an entry
-    is uncounted exactly once however often :meth:`cancel` is called.
+    The heap entry holds the timer, which is called in place of the
+    callback it holds. Cancelling drops that callback, so a cancelled
+    timer (say the 8 s application timer) pins nothing of its flow's
+    world until its fire time. ``_flow`` is cleared when the timer pops
+    or is cancelled, so an entry is uncounted exactly once however often
+    :meth:`cancel` is called.
     """
 
-    __slots__ = ("_scheduler", "_flow")
+    __slots__ = ("_scheduler", "_flow", "_callback")
 
-    def __init__(self, scheduler: "FlowScheduler", flow: FlowHandle) -> None:
+    def __init__(
+        self, scheduler: "FlowScheduler", flow: FlowHandle, callback: Callable[[], None]
+    ) -> None:
         self.cancelled = False
         self._scheduler = scheduler
         self._flow = flow
+        self._callback = callback
+
+    def __call__(self) -> None:
+        self._callback()
 
     def cancel(self) -> None:
         """Prevent the callback from firing and stop counting it as live."""
         self.cancelled = True
+        self._callback = None
         flow = self._flow
         if flow is not None:
             self._flow = None
@@ -113,7 +124,8 @@ class FlowScheduler(Scheduler):
 
     Every entry is a 6-tuple ``(when, counter, timer, callback, args,
     flow)``; ``flow`` is whatever :attr:`current` was when the entry was
-    pushed (``None`` for world-level events). Ordering is identical to
+    pushed (``None`` for world-level events), and a flow-tagged timer
+    stands in its own callback slot. Ordering is identical to
     the base scheduler — the same ``(when, counter)`` sort keys drive the
     heap — so a world with one flow replays the exact event sequence of a
     single-flow trial.
@@ -147,7 +159,7 @@ class FlowScheduler(Scheduler):
         if flow is None:
             timer = Timer()
         else:
-            timer = _FlowTimer(self, flow)
+            timer = callback = _FlowTimer(self, flow, callback)
             flow.pending += 1
         heapq.heappush(
             self._queue,

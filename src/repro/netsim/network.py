@@ -14,7 +14,6 @@ import random
 import time
 from typing import List, Optional, Protocol, Sequence
 
-from .. import fastpath as _fastpath
 from ..obs import spans as _spans
 from ..obs.metrics import Counter
 from ..packets import Packet
@@ -105,12 +104,12 @@ class Network:
             else "simulate/middlebox"
             for box in self.middleboxes
         ]
-        # Hop coalescing (fast path): inert chain-padding middleboxes are
-        # plain base-class instances that forward every packet unchanged,
-        # so the walk can jump straight to the next *active* box with one
-        # scheduled event instead of one per hop. Decided at construction
-        # time; impaired paths always walk per-link (draw order).
-        self._coalesce = impairment is None and _fastpath.enabled()
+        # Hop coalescing: inert chain-padding middleboxes are plain
+        # base-class instances that forward every packet unchanged, so
+        # the walk can jump straight to the next *active* box with one
+        # scheduled event instead of one per hop. Impaired paths always
+        # walk per-link, because each link draws from the net RNG.
+        self._coalesce = impairment is None
         self._build_skip_tables()
 
     def _build_skip_tables(self) -> None:

@@ -98,10 +98,10 @@ class Trace:
 class NullTrace(Trace):
     """A trace that records nothing.
 
-    Used by the rate-only fast path (``Trial(capture_trace=False)``):
-    every :meth:`record` call — and in particular its per-event defensive
+    Used by rate-only trials (``Trial(capture_trace=False)``): every
+    :meth:`record` call — and in particular its per-event defensive
     packet copy — becomes a no-op, and because nothing retains packet
-    references the trial can also recycle packets through the arena
+    references the trial's run recycles packets through the arena
     (:mod:`repro.packets.pool`). ``events`` stays an empty list, so all
     read-side methods (filter/digest/dump) work and report emptiness.
     """

@@ -3,9 +3,10 @@
 A cold trial allocates thousands of short-lived ``Packet``/``IPv4``/``TCP``
 trios — one per injected copy, duplicate, and hop-mutated clone — and none
 of them outlive the trial when tracing is off. The arena recycles those
-trios: :func:`pooled` activates it for the dynamic extent of one trial,
-during which ``make_tcp_packet`` and ``Packet.copy`` draw from the free
-list instead of allocating, and trial teardown returns everything at once.
+trios: :func:`pooled` activates it for the dynamic extent of one trial's
+run, during which ``make_tcp_packet`` and ``Packet.copy`` draw from the
+free list instead of allocating, and the end of the run returns
+everything at once.
 
 Hygiene is by construction, not by scrubbing: every acquire re-initializes
 *every* slot of all three objects (the pool-hygiene property test in
@@ -13,10 +14,13 @@ Hygiene is by construction, not by scrubbing: every acquire re-initializes
 cannot silently leak state). Reclaim only drops payload/option/wire
 references so the free list never pins large buffers.
 
-Safety rules, enforced by the call sites:
+Safety rules:
 
 - The arena is only active when the trial uses a :class:`NullTrace` — a
   recorded trace would keep references to packets after they are recycled.
+  ``Trial.run`` enforces this by construction: it pools exactly when the
+  trial was built with ``capture_trace=False``, and a fleet world leases
+  the arena only in trace mode ``none``.
 - On an exception inside the pooled block the live set is abandoned (never
   reused), since partially-built packets may have escaped to the error
   path.

@@ -62,20 +62,16 @@ class SpecError(ValueError):
 #: Parsed-strategy memo keyed by DSL text. A batch of trials re-parses
 #: the same handful of strategy strings thousands of times; parsed
 #: strategies are never mutated after construction (the GA copies before
-#: mutating), so sharing one instance is safe. Consulted only when the
-#: fast path is enabled so ``REPRO_FASTPATH=0`` rules it out too.
+#: mutating), so sharing one instance is safe.
 _PARSE_CACHE: dict = {}
 _PARSE_CACHE_MAX = 512
 
 
 def _parse_strategy(text: str):
-    from .. import fastpath
-    from ..core import Strategy
-
-    if not fastpath.enabled():
-        return Strategy.parse(text)
     strategy = _PARSE_CACHE.get(text)
     if strategy is None:
+        from ..core import Strategy
+
         strategy = Strategy.parse(text)
         if len(_PARSE_CACHE) >= _PARSE_CACHE_MAX:
             _PARSE_CACHE.clear()
@@ -245,9 +241,13 @@ class TrialSpec:
     def run(self, keep_trace: bool = False):
         """Execute this trial and return its :class:`TrialResult`.
 
-        The packet trace is dropped unless ``keep_trace`` is set: traces
-        hold full packet copies, which batch consumers never need and
-        which must not cross process or cache boundaries.
+        A trace is captured only when ``keep_trace`` is set or a run log
+        is active (a flight dump on error needs it); otherwise the trial
+        records nothing and pools its packets (see
+        :meth:`~repro.eval.runner.Trial.run`). It is returned only with
+        ``keep_trace``: traces hold full packet copies, which batch
+        consumers never need and which must not cross process or cache
+        boundaries.
 
         Execution is bracketed into observability phases (spec decode,
         trial build, simulate, finalize) — timed only when span
@@ -256,23 +256,11 @@ class TrialSpec:
         the tail of the packet trace is flight-dumped before the
         exception propagates.
         """
-        from .. import fastpath
         from ..eval.runner import Trial
         from ..obs import runlog as obs_runlog
         from ..obs import spans
-        from ..packets import pool
 
-        # The rate-only fast path: nobody wants the trace, the global
-        # switch is on, and no run log is active (a flight dump on error
-        # needs the trace). The trial then skips trace capture entirely
-        # and recycles packets through the arena. ``capture_trace`` is
-        # deliberately NOT part of the spec options — it cannot change
-        # the verdict, so it must not change the cache key either.
-        use_fast = (
-            not keep_trace
-            and fastpath.enabled()
-            and obs_runlog.active_runlog() is None
-        )
+        log = obs_runlog.active_runlog()
         with spans.span("trial"):
             with spans.span("trial/spec_decode"):
                 server = (
@@ -289,31 +277,20 @@ class TrialSpec:
                     kwargs["client_strategy"] = _parse_strategy(self.client_strategy)
                 if self.impairment is not None:
                     kwargs["impairment"] = dict(self.impairment)
-                if use_fast and "capture_trace" not in kwargs:
-                    kwargs["capture_trace"] = False
-            if use_fast:
-                # Exceptions propagate; the pooled block abandons (never
-                # reuses) in-flight packets on the error path.
-                with pool.pooled():
-                    with spans.span("trial/build"):
-                        trial = Trial(
-                            self.country, self.protocol, server, seed=self.seed, **kwargs
-                        )
-                    with spans.span("trial/simulate", clock=trial.scheduler):
-                        result = trial.run()
-            else:
-                with spans.span("trial/build"):
-                    trial = Trial(
-                        self.country, self.protocol, server, seed=self.seed, **kwargs
-                    )
-                try:
-                    with spans.span("trial/simulate", clock=trial.scheduler):
-                        result = trial.run()
-                except Exception as exc:
-                    log = obs_runlog.active_runlog()
-                    if log is not None:
-                        log.record_exception(self, exc, trace=trial.network.trace)
-                    raise
+                # Not a spec option: it cannot change the verdict, so it
+                # must not change the cache key either.
+                kwargs.setdefault("capture_trace", keep_trace or log is not None)
+            with spans.span("trial/build"):
+                trial = Trial(
+                    self.country, self.protocol, server, seed=self.seed, **kwargs
+                )
+            try:
+                with spans.span("trial/simulate", clock=trial.scheduler):
+                    result = trial.run()
+            except Exception as exc:
+                if log is not None:
+                    log.record_exception(self, exc, trace=trial.network.trace)
+                raise
             with spans.span("trial/finalize"):
                 _TRIAL_OUTCOMES.inc(
                     country=self.country if self.country is not None else "none",

@@ -18,12 +18,11 @@ import weakref
 import pytest
 
 from repro.deploy import install_per_client
-from repro.eval.runner import Trial
+from repro.eval.runner import Trial, trial_rngs
 from repro.fleet import (
     FleetMixEntry,
     FleetSpec,
     FleetWorld,
-    derive_flow_rngs,
     fleet_selector,
     flow_client_ip,
     run_fleet,
@@ -80,7 +79,7 @@ def trial_for_flow0(country, protocol, max_time):
         max_time=max_time,
     )
     install_per_client(
-        trial.server_host, fleet_selector(), protocol, derive_flow_rngs(seed).strategy
+        trial.server_host, fleet_selector(), protocol, trial_rngs(seed).strategy
     )
     return trial
 
@@ -130,6 +129,25 @@ def test_drained_world_is_released_before_its_deadline():
             assert world.scheduler.now < watched["deadline"]
             gc.collect()
             checked.append(watched["censor"]() is None)
+
+    FleetWorld(spec, on_flow_done=done).run()
+    assert checked == [True]
+
+
+def test_cancelled_timers_do_not_pin_a_retired_world():
+    """Flow 1 drains at 1.75 s, but its client cancelled an 8 s app timer
+    whose heap entry stays queued until t=9: the entry must not keep the
+    flow's callback, and through it the flow's host, network and censor."""
+    spec = FleetSpec(clients=30, seed=1, spacing=1.0)
+    censor = {}
+    checked = []
+
+    def done(world, record):
+        if record["flow"] == 1:
+            censor["ref"] = weakref.ref(world._flows[record["client_ip"]].censor)
+        elif record["flow"] == 2:
+            gc.collect()
+            checked.append(censor["ref"]() is None)
 
     FleetWorld(spec, on_flow_done=done).run()
     assert checked == [True]

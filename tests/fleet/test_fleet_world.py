@@ -4,9 +4,6 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
-from repro import fastpath
 from repro.fleet import (
     DEFAULT_MIX,
     FleetMixEntry,
@@ -56,8 +53,6 @@ class TestRecycling:
         assert peak > 1
 
     def test_arena_lease_reuse_across_flows(self):
-        if not fastpath.enabled():
-            pytest.skip("leases only activate on the fast path")
         # Sequential flows (spacing > max_time): each flow drains and
         # reclaims its lease before the next arrives, so later flows draw
         # recycled trios from the shared free list instead of allocating.
@@ -69,8 +64,6 @@ class TestRecycling:
         assert len(world.arena._live) == 0
 
     def test_overlapping_flows_reclaim_to_shared_free_list(self):
-        if not fastpath.enabled():
-            pytest.skip("leases only activate on the fast path")
         world = small_world(trace="none")
         assert world._use_leases
         world.run()

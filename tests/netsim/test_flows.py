@@ -5,6 +5,8 @@ reaches zero the scheduler's ``on_drain`` hook is told, which is what
 lets a fleet world retire a flow as soon as nothing of it can run.
 """
 
+import weakref
+
 from repro.netsim.flows import FlowHandle, FlowScheduler
 
 
@@ -71,6 +73,23 @@ class TestCancelUncounts:
         later.cancel()
         assert flow.pending == 0
         assert drained == [flow]
+
+    def test_cancel_releases_the_callback(self):
+        """The queued entry outlives the cancel; the callback must not."""
+
+        class Owner:
+            def fire(self):
+                pass
+
+        sched, flow, _ = flow_world()
+        owner = Owner()
+        timer = schedule_in(sched, flow, 8.0, owner.fire)
+        ref = weakref.ref(owner)
+        del owner
+        assert ref() is not None
+        timer.cancel()
+        assert sched.pending() == 1
+        assert ref() is None
 
 
 class TestDrainHook:

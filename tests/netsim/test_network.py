@@ -150,6 +150,37 @@ class TestTTL:
         assert server.received == []
 
 
+class TestHopCoalescing:
+    """A chain of plain ``Middlebox`` padding is crossed in one event per
+    run of inert hops; the same chain of a do-nothing subclass counts as
+    active and is walked hop by hop, and with coalescing off every link
+    is its own event (the walk impaired paths take). All three must
+    record the same trace."""
+
+    class Forwarder(Middlebox):
+        """Behaves exactly like the base class, but is not coalesced."""
+
+    @staticmethod
+    def exchange(box_type, coalesce=True):
+        sched, client, server, net = build([box_type() for _ in range(9)])
+        net._coalesce = coalesce
+        for ttl in (1, 3, 5, 9, 10, 64):
+            net.send_from(client, pkt(ttl=ttl))
+            net.send_from(server, pkt(src="10.0.0.2", dst="10.0.0.1", flags="SA", ttl=ttl))
+        net.inject_from(4, pkt(flags="R"), "server", "mb4")
+        net.inject_from(4, pkt(src="10.0.0.2", dst="10.0.0.1", flags="R"), "client", "mb4")
+        executed = sched.run()
+        return net.trace, executed
+
+    def test_coalesced_walk_records_the_per_hop_trace(self):
+        coalesced, coalesced_events = self.exchange(Middlebox)
+        walked, walked_events = self.exchange(self.Forwarder)
+        per_link, _ = self.exchange(Middlebox, coalesce=False)
+        assert len(coalesced) == len(walked) == len(per_link) == 28
+        assert coalesced.digest() == walked.digest() == per_link.digest()
+        assert coalesced_events < walked_events
+
+
 class TestTrace:
     def test_send_and_recv_events_recorded(self):
         sched, client, server, net = build()

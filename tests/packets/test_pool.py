@@ -293,3 +293,28 @@ class TestActivation:
             assert arena.created + arena.reused == before + 1
         outside = packet.copy()
         assert isinstance(outside, Packet)
+
+
+class TestTrialPooling:
+    """``Trial.run`` pools exactly when the trial records no trace."""
+
+    @staticmethod
+    def _draws():
+        return pool._ARENA.created + pool._ARENA.reused
+
+    def test_trace_free_trial_draws_from_the_arena(self):
+        from repro.eval.runner import Trial
+
+        before = self._draws()
+        Trial("china", "http", seed=3, capture_trace=False).run()
+        assert self._draws() > before
+        assert active_arena() is None
+        assert len(pool._ARENA._live) == 0
+
+    def test_traced_trial_leaves_the_arena_untouched(self):
+        from repro.eval.runner import Trial
+
+        before = self._draws()
+        result = Trial("china", "http", seed=3, capture_trace=True).run()
+        assert self._draws() == before
+        assert len(result.trace) > 0

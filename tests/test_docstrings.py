@@ -27,6 +27,10 @@ def test_campaign_and_obs_trees_are_fully_documented():
             REPO / "src" / "repro" / "core" / "evolution" / "coevolve.py",
             REPO / "src" / "repro" / "netsim" / "flows.py",
             REPO / "src" / "repro" / "deploy" / "selector.py",
+            REPO / "src" / "repro" / "eval" / "runner.py",
+            REPO / "src" / "repro" / "runtime" / "spec.py",
+            REPO / "src" / "repro" / "netsim" / "network.py",
+            REPO / "src" / "repro" / "packets" / "pool.py",
         ]
     )
     assert violations == [], "\n".join(

@@ -5,8 +5,9 @@ A small pydocstyle-flavoured checker with no dependencies, enforced in
 CI (and by ``tests/test_docstrings.py``) for ``src/repro/campaign``,
 ``src/repro/obs``, ``src/repro/fleet``, ``src/repro/censors/adaptive.py``,
 ``src/repro/core/evolution/coevolve.py``, ``src/repro/netsim/flows.py``,
-and ``src/repro/deploy/selector.py`` so new public APIs ship
-documented. Arguments may be directories (checked recursively) or
+``src/repro/deploy/selector.py``, ``src/repro/eval/runner.py``,
+``src/repro/runtime/spec.py``, ``src/repro/netsim/network.py`` and
+``src/repro/packets/pool.py`` so new public APIs ship documented. Arguments may be directories (checked recursively) or
 single files. Rules:
 
 - every module has a docstring;
