@@ -31,6 +31,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from ..censors.countries import COUNTRIES
+from ..eval.runner import PROTOCOLS
 from ..runtime import TrialSpec, trial_seed
 from ..runtime.cache import canonical_sha
 from ..runtime.spec import SpecError, impairment_dict
@@ -47,13 +49,6 @@ __all__ = [
 #: Default trials per shard. Small enough that a kill loses little work,
 #: large enough that per-shard checkpoint I/O stays negligible.
 DEFAULT_SHARD_SIZE = 50
-
-#: Countries a cell may name (``None`` means "no censor").
-_KNOWN_COUNTRIES = (
-    "china", "india", "iran", "kazakhstan", "southkorea", "russia",
-)
-#: Protocols the trial runner speaks.
-_KNOWN_PROTOCOLS = ("dns", "ftp", "http", "https", "smtp")
 
 
 class CampaignError(ValueError):
@@ -138,13 +133,13 @@ class CellSpec:
         label: Optional[str] = None,
     ) -> "CellSpec":
         """Validate and canonicalize ``run_trial``-style cell arguments."""
-        if country is not None and country not in _KNOWN_COUNTRIES:
+        if country is not None and country not in COUNTRIES:
             raise CampaignError(
-                f"unknown country {country!r} (valid: {', '.join(_KNOWN_COUNTRIES)}, null)"
+                f"unknown country {country!r} (valid: {', '.join(COUNTRIES)}, null)"
             )
-        if protocol not in _KNOWN_PROTOCOLS:
+        if protocol not in PROTOCOLS:
             raise CampaignError(
-                f"unknown protocol {protocol!r} (valid: {', '.join(_KNOWN_PROTOCOLS)})"
+                f"unknown protocol {protocol!r} (valid: {', '.join(PROTOCOLS)})"
             )
         if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
             raise CampaignError(f"cell trials must be a positive int, got {trials!r}")

@@ -1,7 +1,6 @@
 """Geneva's genetic algorithm: gene pools, operators, fitness, and the loop."""
 
 from .coevolve import (
-    COEVOLVE_PROTOCOLS,
     CoevolveConfig,
     CoevolveResult,
     CoevolveStats,
@@ -21,7 +20,6 @@ from .minimize import candidate_reductions, minimize
 from .mutation import all_nodes, mutate, replace_node
 
 __all__ = [
-    "COEVOLVE_PROTOCOLS",
     "CensorTrialEvaluator",
     "CoevolveConfig",
     "CoevolveResult",

@@ -36,6 +36,7 @@ import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ...censors.adaptive import CensorGenome, seeded_censor_population
+from ...censors.countries import country_profile
 from ...obs.metrics import Counter, Histogram
 from ..dsl import Strategy
 from ..strategies import SERVER_STRATEGIES
@@ -48,7 +49,6 @@ from .fitness import (
 from .ga import GAConfig, GeneticAlgorithm
 
 __all__ = [
-    "COEVOLVE_PROTOCOLS",
     "CoevolveConfig",
     "CoevolveResult",
     "CoevolveStats",
@@ -60,17 +60,6 @@ __all__ = [
     "paper_strategy_numbers",
     "run_coevolution",
 ]
-
-#: Default protocol per country: the protocol the paper (or the SNI-era
-#: escalation) evaluates that censor on.
-COEVOLVE_PROTOCOLS: Dict[str, str] = {
-    "china": "http",
-    "india": "http",
-    "iran": "http",
-    "kazakhstan": "http",
-    "southkorea": "https",
-    "russia": "https",
-}
 
 #: A censor "defeats" a strategy when it pushes the strategy's evasion
 #: rate strictly below this.
@@ -580,7 +569,8 @@ def run_coevolution(
     from ..strategies import deployed_strategy
 
     config = config if config is not None else CoevolveConfig()
-    protocol = protocol if protocol is not None else COEVOLVE_PROTOCOLS[country]
+    if protocol is None:
+        protocol = country_profile(country).coevolve_protocol
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
 

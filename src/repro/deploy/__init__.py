@@ -11,7 +11,6 @@
 
 from .middlebox import StrategyMiddlebox
 from .selector import (
-    RECOMMENDED_STRATEGIES,
     GeoStrategySelector,
     PerClientEngine,
     install_per_client,
@@ -21,7 +20,6 @@ from .selector import (
 __all__ = [
     "GeoStrategySelector",
     "PerClientEngine",
-    "RECOMMENDED_STRATEGIES",
     "StrategyMiddlebox",
     "install_per_client",
     "parse_cidr",

@@ -3,10 +3,12 @@
 A deployed server must pick the right strategy per client, "based only on
 the client's SYN packet". :class:`GeoStrategySelector` implements the
 paper's suggested approach: coarse IP-prefix geolocation mapped to a
-per-(country, protocol) strategy table. :class:`PerClientEngine` is the
-host filter that makes the decision at SYN time and applies the selected
-strategy to that connection only — clients outside censored prefixes see
-completely vanilla TCP.
+per-(country, protocol) strategy table (by default each registered
+country's recommended strategies, from
+:data:`~repro.censors.countries.COUNTRIES`). :class:`PerClientEngine`
+is the host filter that makes the decision at SYN time and applies the
+selected strategy to that connection only — clients outside censored
+prefixes see completely vanilla TCP.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..censors.countries import COUNTRIES
 from ..core import Strategy, deployed_strategy
 from ..packets import Packet
 from ..tcpstack import Host
@@ -21,26 +24,9 @@ from ..tcpstack import Host
 __all__ = [
     "GeoStrategySelector",
     "PerClientEngine",
-    "RECOMMENDED_STRATEGIES",
     "install_per_client",
     "parse_cidr",
 ]
-
-#: Best Table 2 strategy per (country, protocol).
-RECOMMENDED_STRATEGIES: Dict[Tuple[str, str], int] = {
-    ("china", "dns"): 1,     # 89%
-    ("china", "ftp"): 5,     # 97%
-    ("china", "http"): 1,    # 54%
-    ("china", "https"): 2,   # 55%
-    ("china", "smtp"): 8,    # 100%
-    ("india", "http"): 8,    # 100%
-    ("iran", "http"): 8,     # 100%
-    ("iran", "https"): 8,    # 100%
-    ("kazakhstan", "http"): 11,  # 100%, no payload quirks
-    # SNI-era boxes (eval/sni_matrix.py grid, not Table 2):
-    ("southkorea", "https"): 12,  # record split beats the confirm step
-    ("russia", "https"): 15,      # only deep migration outlasts TSPU
-}
 
 
 def _ip_to_int(address: str) -> int:
@@ -64,14 +50,19 @@ class GeoStrategySelector:
     """Longest-prefix-match geolocation plus a strategy table.
 
     Use :meth:`add_prefix` to register censored-country prefixes, then
-    :meth:`strategy_for` to pick a strategy from a client SYN.
+    :meth:`strategy_for` to pick a strategy from a client SYN. ``table``
+    defaults to the registry's recommended strategies, read at construction.
     """
 
     def __init__(
         self, table: Optional[Dict[Tuple[str, str], int]] = None
     ) -> None:
         self._prefixes: List[Tuple[int, int, int, str]] = []  # net, mask, len, country
-        self.table = dict(table if table is not None else RECOMMENDED_STRATEGIES)
+        self.table = dict(table) if table is not None else {
+            (country, protocol): number
+            for country, profile in COUNTRIES.items()
+            for protocol, number in profile.strategies.items()
+        }
         # Strategy number -> (parsed deployed strategy, is_stateful()).
         self._parsed: Dict[int, Tuple[Strategy, bool]] = {}
 

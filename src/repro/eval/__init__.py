@@ -19,9 +19,9 @@ Experiment drivers (each regenerates one paper artifact):
 
 from .runner import (
     CLIENT_IP,
-    COUNTRY_PROTOCOLS,
     DEFAULT_CENSOR_HOP,
     DEFAULT_SERVER_HOP,
+    PROTOCOLS,
     SERVER_IP,
     Trial,
     TrialResult,
@@ -34,9 +34,9 @@ from .runner import (
 
 __all__ = [
     "CLIENT_IP",
-    "COUNTRY_PROTOCOLS",
     "DEFAULT_CENSOR_HOP",
     "DEFAULT_SERVER_HOP",
+    "PROTOCOLS",
     "SERVER_IP",
     "Trial",
     "TrialResult",

@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from ..censors.countries import COUNTRIES
 from ..runtime import TrialExecutor, TrialSpec, trial_seed
-from .reference import TABLE1_MATRIX
+from .runner import PROTOCOLS, censored_workload
 
 __all__ = ["MatrixEntry", "measure_censorship_matrix", "format_matrix"]
-
-ALL_PROTOCOLS = ("dns", "ftp", "http", "https", "smtp")
 
 
 @dataclass
@@ -56,23 +55,18 @@ def measure_censorship_matrix(
     be stable under mild loss — retransmission recovers the trigger);
     ``net_seed`` pins the impairment stream per probe.
     """
-    from .runner import censored_workload  # deferred for doc-build friendliness
-
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
 
     pairs = []
     specs: List[TrialSpec] = []
-    for country, info in TABLE1_MATRIX.items():
-        expected_protocols = set(info["protocols"])
-        for protocol in ALL_PROTOCOLS:
-            if protocol in expected_protocols:
-                workload = censored_workload(country, protocol)
-            else:
-                # Forbidden content for some censor, but not one this
-                # country inspects on this protocol.
-                workload = censored_workload("china", protocol)
-            pairs.append((country, protocol, protocol in expected_protocols))
+    for country, profile in COUNTRIES.items():
+        for protocol in PROTOCOLS:
+            expected = protocol in profile.workloads
+            # Forbidden content for some censor (China's), when this
+            # country does not inspect this protocol.
+            workload = censored_workload(country if expected else "china", protocol)
+            pairs.append((country, protocol, expected))
             for probe in range(probes):
                 extra = {}
                 if net_seed is not None:
@@ -114,7 +108,7 @@ def format_matrix(entries: List[MatrixEntry]) -> str:
     for entry in entries:
         by_country.setdefault(entry.country, []).append(entry)
     for country, rows in by_country.items():
-        vantage = ", ".join(TABLE1_MATRIX[country]["vantage_points"])
+        vantage = ", ".join(COUNTRIES[country].vantage_points)
         censored = [r.protocol.upper() for r in rows if r.censored]
         expected = [r.protocol.upper() for r in rows if r.expected]
         lines.append(

@@ -9,15 +9,17 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..censors.countries import COUNTRIES
+
 __all__ = [
     "TABLE2_CHINA",
     "TABLE2_OTHER",
-    "TABLE1_MATRIX",
     "paper_rate",
     "CHINA_PROTOCOLS",
 ]
 
-CHINA_PROTOCOLS = ("dns", "ftp", "http", "https", "smtp")
+#: The protocols China censors, in Table 1 order (its registry profile's).
+CHINA_PROTOCOLS: Tuple[str, ...] = COUNTRIES["china"].protocols
 
 #: Table 2, China block: strategy number (0 = no evasion) -> per-protocol
 #: success percentage.
@@ -48,36 +50,6 @@ TABLE2_OTHER: Dict[Tuple[str, int, str], int] = {
     ("kazakhstan", 9, "http"): 100,
     ("kazakhstan", 10, "http"): 100,
     ("kazakhstan", 11, "http"): 100,
-}
-
-#: Table 1: client locations and protocols per country.
-TABLE1_MATRIX: Dict[str, Dict[str, tuple]] = {
-    "china": {
-        "vantage_points": ("Beijing", "Shanghai", "Shenzen", "Zhengzhou"),
-        "protocols": ("dns", "ftp", "http", "https", "smtp"),
-    },
-    "india": {
-        "vantage_points": ("Bangalore",),
-        "protocols": ("http",),
-    },
-    "iran": {
-        "vantage_points": ("Tehran", "Zanjan"),
-        "protocols": ("http", "https"),
-    },
-    "kazakhstan": {
-        "vantage_points": ("Qaraghandy", "Almaty"),
-        "protocols": ("http",),
-    },
-    # Post-paper SNI-era boxes (repro.censors.sni) — not in the paper's
-    # Table 1, but measured by the same matrix driver.
-    "southkorea": {
-        "vantage_points": ("Seoul",),
-        "protocols": ("https",),
-    },
-    "russia": {
-        "vantage_points": ("Moscow",),
-        "protocols": ("https",),
-    },
 }
 
 

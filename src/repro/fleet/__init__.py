@@ -18,7 +18,6 @@ Entry points: :func:`run_fleet` (library), ``python -m repro fleet``
 
 from .runner import FleetResult, run_fleet
 from .spec import (
-    COUNTRY_PREFIXES,
     DEFAULT_MIX,
     FleetMixEntry,
     FleetSpec,
@@ -29,7 +28,6 @@ from .stats import FleetStats, percentile
 from .world import FleetWorld, fleet_selector
 
 __all__ = [
-    "COUNTRY_PREFIXES",
     "DEFAULT_MIX",
     "FleetMixEntry",
     "FleetResult",

@@ -26,12 +26,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..eval.runner import COUNTRY_PROTOCOLS
+from ..censors.countries import COUNTRIES, country_profile
+from ..eval.runner import PROTOCOLS
 from ..runtime.seeds import fleet_stream_seed, trial_seed
 from ..tcpstack import personality
 
 __all__ = [
-    "COUNTRY_PREFIXES",
     "DEFAULT_MIX",
     "FleetMixEntry",
     "FleetSpec",
@@ -39,19 +39,10 @@ __all__ = [
     "flow_client_ip",
 ]
 
-#: /16 client prefixes per country (and the uncensored cohort). These are
-#: what the deployed server's GeoStrategySelector is loaded with; note
-#: that china's prefix makes fleet flow 0 from china exactly the classic
-#: single-trial client address 10.1.0.2.
-COUNTRY_PREFIXES: Dict[Optional[str], str] = {
-    "china": "10.1",
-    "kazakhstan": "10.2",
-    "india": "10.3",
-    "iran": "10.4",
-    "southkorea": "10.5",
-    "russia": "10.6",
-    None: "172.16",
-}
+#: /16 client prefix of the uncensored cohort. Each censoring country's
+#: is its registry profile's ``fleet_prefix``; those are what the
+#: deployed server's GeoStrategySelector is loaded with.
+_UNCENSORED_PREFIX = "172.16"
 
 #: Ceiling on clients per run: each flow needs a distinct host address
 #: inside a /16 (250 hosts x 256 subnets, avoiding .0/.1/.255 hosts).
@@ -82,15 +73,13 @@ class FleetMixEntry:
     def validate(self) -> None:
         """Raise ``ValueError`` on an unknown country, protocol, OS or weight."""
         if self.country is not None:
-            protocols = COUNTRY_PROTOCOLS.get(self.country)
-            if protocols is None:
-                raise ValueError(f"unknown country {self.country!r}")
-            if self.protocol not in protocols:
+            profile = country_profile(self.country)
+            if self.protocol not in profile.workloads:
                 raise ValueError(
                     f"{self.country} does not censor {self.protocol!r} "
-                    f"(expected one of {protocols})"
+                    f"(expected one of {list(profile.protocols)})"
                 )
-        elif self.protocol not in ("dns", "ftp", "http", "https", "smtp"):
+        elif self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         personality(self.client_os)  # raises on unknown personality
         if self.weight <= 0:
@@ -101,22 +90,14 @@ class FleetMixEntry:
         return f"{self.country or 'none'}/{self.protocol}"
 
 
-#: The default serving mix: every censored (country, protocol) pair from
-#: Table 1 plus an uncensored cohort, across a spread of client stacks.
-DEFAULT_MIX: Tuple[FleetMixEntry, ...] = (
-    FleetMixEntry("china", "http", "ubuntu-18.04.1", 3.0),
-    FleetMixEntry("china", "https", "windows-10-enterprise-17134", 2.0),
-    FleetMixEntry("china", "dns", "centos-7", 1.0),
-    FleetMixEntry("china", "ftp", "ubuntu-16.04.4", 1.0),
-    FleetMixEntry("china", "smtp", "ubuntu-14.04.3", 1.0),
-    FleetMixEntry("india", "http", "android-10", 2.0),
-    FleetMixEntry("iran", "http", "windows-7-ultimate-sp1", 2.0),
-    FleetMixEntry("iran", "https", "macos-10.15", 2.0),
-    FleetMixEntry("kazakhstan", "http", "windows-8.1-pro", 2.0),
-    FleetMixEntry("southkorea", "https", "ios-13.3", 2.0),
-    FleetMixEntry("russia", "https", "windows-10-enterprise-17134", 2.0),
-    FleetMixEntry(None, "http", "ubuntu-18.04.1", 2.0),
-)
+#: The default serving mix: every registered country's fleet cohorts
+#: (each censored pair of Table 1 and the SNI-era boxes, across a spread
+#: of client stacks) plus an uncensored cohort. Built at import.
+DEFAULT_MIX: Tuple[FleetMixEntry, ...] = tuple(
+    FleetMixEntry(country, *cohort)
+    for country, profile in COUNTRIES.items()
+    for cohort in profile.fleet_cohorts
+) + (FleetMixEntry(None, "http", "ubuntu-18.04.1", 2.0),)
 
 
 def flow_client_ip(country: Optional[str], index: int) -> str:
@@ -127,7 +108,7 @@ def flow_client_ip(country: Optional[str], index: int) -> str:
     address (the router/demux key). China's flow 0 lands on ``10.1.0.2``,
     the classic single-trial client address.
     """
-    prefix = COUNTRY_PREFIXES[country]
+    prefix = _UNCENSORED_PREFIX if country is None else COUNTRIES[country].fleet_prefix
     return f"{prefix}.{index // 250}.{2 + index % 250}"
 
 

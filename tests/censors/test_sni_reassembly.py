@@ -14,8 +14,7 @@ from repro.censors import (
     RUSSIA_KEYWORDS,
     SOUTHKOREA_KEYWORDS,
     SNICensor,
-    russia_censor,
-    southkorea_censor,
+    build_censor,
 )
 from repro.packets import make_tcp_packet
 
@@ -75,7 +74,7 @@ class TestReassembly:
     def test_one_byte_segments_still_reassemble(self, chunk):
         """Client-side segmentation alone no longer evades: the box
         reassembles down to one-byte segments and fires on the full SNI."""
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         passed = feed_hello(censor, ctx, build_client_hello(BLOCKED_RU), chunk)
         assert passed[-1] is False  # the completing segment is dropped
@@ -85,7 +84,7 @@ class TestReassembly:
     def test_reordered_segments_reassemble(self):
         """Out-of-order arrival: the verdict fires only once the
         contiguous prefix covers the whole hello."""
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         hello = build_client_hello(BLOCKED_RU)
         censor.process(syn(), "c2s", ctx)
@@ -98,7 +97,7 @@ class TestReassembly:
         assert censor.censorship_events == 1
 
     def test_overlapping_retransmits_do_not_inflate_budget(self):
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         hello = build_client_hello(BLOCKED_RU)
         censor.process(syn(), "c2s", ctx)
@@ -110,7 +109,7 @@ class TestReassembly:
         assert censor.censorship_events == 1
 
     def test_benign_sni_releases_the_flow(self):
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         passed = feed_hello(censor, ctx, build_client_hello("example.org"), 7)
         assert all(passed)
@@ -120,7 +119,7 @@ class TestReassembly:
     def test_window_expiry_evicts_state(self):
         """The tracking window anchors at the first SYN and never
         refreshes — bytes arriving after it lapses pass uninspected."""
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         hello = build_client_hello(BLOCKED_RU)
         censor.process(syn(), "c2s", ctx)
@@ -143,7 +142,7 @@ class TestStrictness:
     def test_strict_drops_esni_hello(self):
         """Russia's box: a complete hello with no plaintext SNI is
         dropped and the flow blackholed."""
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         hello = build_client_hello(BLOCKED_RU, encrypted_sni=True)
         passed = feed_hello(censor, ctx, hello, 64)
@@ -153,7 +152,7 @@ class TestStrictness:
         assert censor.process(c2s(101, hello[:64]), "c2s", ctx) == []
 
     def test_lenient_passes_esni_hello(self):
-        censor = southkorea_censor()
+        censor = build_censor("southkorea")
         ctx = Ctx()
         hello = build_client_hello(BLOCKED_KR, encrypted_sni=True)
         passed = feed_hello(censor, ctx, hello, 64)
@@ -161,21 +160,21 @@ class TestStrictness:
         assert censor.censorship_events == 0
 
     def test_strict_drops_garbage_on_tls_port(self):
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         censor.process(syn(), "c2s", ctx)
         assert censor.process(c2s(101, b"GET / HTTP/1.1\r\n"), "c2s", ctx) == []
         assert ("censor", "strict-drop:invalid") in ctx.records
 
     def test_lenient_passes_garbage_on_tls_port(self):
-        censor = southkorea_censor()
+        censor = build_censor("southkorea")
         ctx = Ctx()
         censor.process(syn(), "c2s", ctx)
         assert censor.process(c2s(101, b"GET / HTTP/1.1\r\n"), "c2s", ctx)
         assert censor.censorship_events == 0
 
     def test_blackhole_expires(self):
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         feed_hello(censor, ctx, build_client_hello(BLOCKED_RU), 64)
         assert censor.process(c2s(101, b"x"), "c2s", ctx) == []
@@ -191,7 +190,7 @@ class TestSouthKoreaConfirmation:
         assert state.armed
 
     def test_confirmed_serverhello_triggers_client_rst_burst(self):
-        censor = southkorea_censor()
+        censor = build_censor("southkorea")
         ctx = Ctx()
         self.arm(censor, ctx)
         out = censor.process(s2c(build_server_hello(BLOCKED_KR)), "s2c", ctx)
@@ -204,7 +203,7 @@ class TestSouthKoreaConfirmation:
     def test_unparseable_serverhello_stands_down(self):
         """Record-split/segmented ServerHello: the one-shot confirmation
         parse fails and the box forgets the flow for good."""
-        censor = southkorea_censor()
+        censor = build_censor("southkorea")
         ctx = Ctx()
         self.arm(censor, ctx)
         partial = build_server_hello(BLOCKED_KR)[:20]
@@ -218,7 +217,7 @@ class TestSouthKoreaConfirmation:
     def test_rst_teardown_purges_flow_state(self):
         """The box trusts wire RSTs without checksum validation — an
         insertion RST (which the endpoints discard) clears its state."""
-        censor = southkorea_censor()
+        censor = build_censor("southkorea")
         ctx = Ctx()
         self.arm(censor, ctx)
         rst = make_tcp_packet(CLIENT, SERVER, CPORT, 443, flags="RA", seq=500)
@@ -228,7 +227,7 @@ class TestSouthKoreaConfirmation:
         assert censor.censorship_events == 0
 
     def test_russia_ignores_rst_teardown(self):
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         hello = build_client_hello(BLOCKED_RU)
         censor.process(syn(), "c2s", ctx)
@@ -242,7 +241,7 @@ class TestSouthKoreaConfirmation:
 
 class TestNonTlsTraffic:
     def test_other_ports_ignored(self):
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         p = make_tcp_packet(CLIENT, SERVER, CPORT, 80, flags="S", seq=100)
         censor.process(p, "c2s", ctx)
@@ -251,7 +250,7 @@ class TestNonTlsTraffic:
     def test_non_tcp_passes(self):
         from repro.packets import make_udp_packet
 
-        censor = russia_censor()
+        censor = build_censor("russia")
         ctx = Ctx()
         p = make_udp_packet(CLIENT, SERVER, CPORT, 443, load=b"quic?")
         assert censor.process(p, "c2s", ctx) == [p]

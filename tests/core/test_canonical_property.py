@@ -28,9 +28,10 @@ from repro.core.dsl import (
     Trigger,
 )
 from repro.core.evolution import server_side_pool
-from repro.eval.matrix import ALL_PROTOCOLS, TABLE1_MATRIX
+from repro.censors.countries import COUNTRIES as REGISTRY
+from repro.eval.runner import PROTOCOLS
 
-COUNTRIES = sorted(TABLE1_MATRIX)
+COUNTRIES = sorted(REGISTRY)
 
 _TRIGGERS = [
     Trigger("TCP", "flags", "SA"),
@@ -95,7 +96,7 @@ def test_canonical_trace_identical_everywhere(seed):
     raw = random_redundant_strategy(seed)
     canon = canonical_strategy(raw)
     for country in COUNTRIES:
-        for protocol in ALL_PROTOCOLS:
+        for protocol in PROTOCOLS:
             a = run_trial(country, protocol, raw, seed=seed % 1000)
             b = run_trial(country, protocol, canon, seed=seed % 1000)
             assert a.outcome == b.outcome, (country, protocol, str(raw))

@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.censors import COUNTRIES
 from repro.core import deployed_strategy
 from repro.eval import (
-    COUNTRY_PROTOCOLS,
     Trial,
     benign_workload,
     censored_workload,
@@ -16,18 +16,18 @@ from repro.eval import (
 
 class TestConfiguration:
     def test_country_protocol_table(self):
-        assert COUNTRY_PROTOCOLS["china"] == ["dns", "ftp", "http", "https", "smtp"]
-        assert COUNTRY_PROTOCOLS["india"] == ["http"]
-        assert COUNTRY_PROTOCOLS["iran"] == ["http", "https"]
-        assert COUNTRY_PROTOCOLS["kazakhstan"] == ["http"]
+        assert COUNTRIES["china"].protocols == ("dns", "ftp", "http", "https", "smtp")
+        assert COUNTRIES["india"].protocols == ("http",)
+        assert COUNTRIES["iran"].protocols == ("http", "https")
+        assert COUNTRIES["kazakhstan"].protocols == ("http",)
 
     def test_default_ports(self):
         assert default_port("http") == 80
         assert default_port("dns") == 53
 
     def test_workloads_available(self):
-        for country, protocols in COUNTRY_PROTOCOLS.items():
-            for protocol in protocols:
+        for country, profile in COUNTRIES.items():
+            for protocol in profile.protocols:
                 assert censored_workload(country, protocol)
         for protocol in ("http", "https", "dns", "ftp", "smtp"):
             assert benign_workload(protocol)

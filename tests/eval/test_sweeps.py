@@ -100,12 +100,12 @@ class TestImpairmentRobustnessSweep:
         degenerate impaired one."""
         from repro.core import deployed_strategy
         from repro.eval.runner import success_rate
-        from repro.eval.sweeps import ROBUSTNESS_CASES, impairment_robustness_sweep
+        from repro.eval.sweeps import impairment_robustness_sweep, robustness_case
 
         curves = impairment_robustness_sweep(
             loss_rates=(0.0,), countries=("india",), trials=5, seed=2
         )
-        protocol, number = ROBUSTNESS_CASES["india"]
+        protocol, number = robustness_case("india")
         direct = success_rate(
             "india", protocol, deployed_strategy(number), trials=5, seed=2
         )

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.censors import COUNTRIES
 from repro.deploy import install_per_client
-from repro.eval.runner import COUNTRY_PROTOCOLS, Trial, trial_rngs
+from repro.eval.runner import Trial, trial_rngs
 from repro.fleet import (
     FleetMixEntry,
     FleetSpec,
@@ -26,8 +27,8 @@ from repro.runtime import trial_seed
 
 ALL_PAIRS = [
     (country, protocol)
-    for country in sorted(COUNTRY_PROTOCOLS)
-    for protocol in COUNTRY_PROTOCOLS[country]
+    for country in sorted(COUNTRIES)
+    for protocol in COUNTRIES[country].protocols
 ] + [(None, "http"), (None, "https")]
 
 FLEET_SEED = 1234

@@ -14,14 +14,15 @@ evaluates:
 
 import pytest
 
+from repro.censors import COUNTRIES
 from repro.core import deployed_strategy
-from repro.eval.runner import COUNTRY_PROTOCOLS, run_trial
+from repro.eval.runner import run_trial
 from repro.netsim import Impairment
 
 ALL_PAIRS = [
     (country, protocol)
-    for country, protocols in sorted(COUNTRY_PROTOCOLS.items())
-    for protocol in protocols
+    for country in sorted(COUNTRIES)
+    for protocol in COUNTRIES[country].protocols
 ]
 
 #: A working strategy per country, so the differential also covers the

@@ -7,8 +7,9 @@ in-process, 4-worker pool, cached) must never change outcomes — for any
 
 import pytest
 
+from repro.censors import COUNTRIES
 from repro.core import deployed_strategy
-from repro.eval import COUNTRY_PROTOCOLS, success_rate
+from repro.eval import success_rate
 from repro.runtime import RunStats, TrialExecutor, TrialSpec, trial_seed
 
 #: One representative evading strategy per country (Table 2, and the
@@ -24,8 +25,8 @@ STRATEGY_FOR = {
 
 ALL_PAIRS = [
     (country, protocol)
-    for country, protocols in COUNTRY_PROTOCOLS.items()
-    for protocol in protocols
+    for country, profile in COUNTRIES.items()
+    for protocol in profile.protocols
 ]
 
 

@@ -8,10 +8,9 @@ deployment depends on.
 
 import pytest
 
+from repro.censors import COUNTRIES
 from repro.core import SERVER_STRATEGIES, deployed_strategy
-from repro.deploy import RECOMMENDED_STRATEGIES
 from repro.eval import (
-    COUNTRY_PROTOCOLS,
     censored_workload,
     run_trial,
     success_rate,
@@ -23,11 +22,11 @@ from repro.eval.table2 import Table2Cell
 class TestRecommendedStrategies:
     @pytest.mark.parametrize(
         "country,protocol",
-        [(c, p) for c, ps in COUNTRY_PROTOCOLS.items() for p in ps],
+        [(c, p) for c, profile in COUNTRIES.items() for p in profile.protocols],
     )
     def test_recommendation_beats_baseline(self, country, protocol):
         """Every recommended strategy decisively beats no evasion."""
-        number = RECOMMENDED_STRATEGIES[(country, protocol)]
+        number = COUNTRIES[country].strategies[protocol]
         trials = 30
         recommended = success_rate(
             country, protocol, deployed_strategy(number), trials=trials, seed=4242
@@ -40,20 +39,21 @@ class TestRecommendedStrategies:
         the strategies Table 2 lists for that country. The SNI-era boxes
         (southkorea, russia) postdate the paper and have no Table 2 row;
         their grid lives in eval/sni_matrix.py."""
-        for (country, protocol), number in RECOMMENDED_STRATEGIES.items():
+        for country, profile in COUNTRIES.items():
             if country in ("southkorea", "russia"):
                 continue
-            chosen = paper_rate(country, number, protocol)
-            assert chosen is not None, (country, protocol)
-            if country == "china":
-                best = max(TABLE2_CHINA[n][protocol] for n in range(1, 9))
-                assert chosen >= best - 1, (country, protocol)
+            for protocol, number in profile.strategies.items():
+                chosen = paper_rate(country, number, protocol)
+                assert chosen is not None, (country, protocol)
+                if country == "china":
+                    best = max(TABLE2_CHINA[n][protocol] for n in range(1, 9))
+                    assert chosen >= best - 1, (country, protocol)
 
 
 class TestReferenceConsistency:
     def test_every_censored_pair_has_workload(self):
-        for country, protocols in COUNTRY_PROTOCOLS.items():
-            for protocol in protocols:
+        for country, profile in COUNTRIES.items():
+            for protocol in profile.protocols:
                 workload = censored_workload(country, protocol)
                 assert workload, (country, protocol)
 
@@ -66,8 +66,8 @@ class TestReferenceConsistency:
 
     def test_workloads_actually_trigger_censorship(self):
         """Each censored workload trips its censor (5 seeds, any hit)."""
-        for country, protocols in COUNTRY_PROTOCOLS.items():
-            for protocol in protocols:
+        for country, profile in COUNTRIES.items():
+            for protocol in profile.protocols:
                 hit = any(
                     run_trial(country, protocol, None, seed=s).censored
                     for s in range(5)

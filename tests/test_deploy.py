@@ -4,9 +4,9 @@ import random
 
 import pytest
 
+from repro.censors import COUNTRIES
 from repro.core import deployed_strategy
 from repro.deploy import (
-    RECOMMENDED_STRATEGIES,
     GeoStrategySelector,
     StrategyMiddlebox,
     install_per_client,
@@ -61,7 +61,7 @@ class TestSelector:
         selector = self.make()
         strategy = selector.strategy_for("10.1.0.2", "ftp")
         assert strategy is not None
-        assert str(strategy) == str(deployed_strategy(RECOMMENDED_STRATEGIES[("china", "ftp")]))
+        assert str(strategy) == str(deployed_strategy(COUNTRIES["china"].strategies["ftp"]))
         assert selector.strategy_for("8.8.8.8", "ftp") is None
 
     def test_stateless_strategy_parsed_once_and_shared(self):
@@ -92,11 +92,10 @@ class TestSelector:
         assert [len(third.apply_outbound(synack(), rng)) for _ in range(4)] == [0, 0, 0, 1]
 
     def test_recommended_table_covers_every_censored_pair(self):
-        from repro.eval import COUNTRY_PROTOCOLS
-
-        for country, protocols in COUNTRY_PROTOCOLS.items():
-            for protocol in protocols:
-                assert (country, protocol) in RECOMMENDED_STRATEGIES
+        table = GeoStrategySelector().table
+        for country, profile in COUNTRIES.items():
+            for protocol in profile.protocols:
+                assert (country, protocol) in table
 
 
 class TestMidPathDeployment:
