@@ -36,6 +36,7 @@ class CarrierNATBox(Middlebox):
         self.dropped = 0
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
+        """Drop the server SYNs this carrier filters; forward the rest."""
         if packet.tcp is None:
             return [packet]  # TCP censorship only
         if direction == DIRECTION_S2C and packet.tcp.is_syn and not packet.tcp.is_ack:
@@ -48,6 +49,7 @@ class CarrierNATBox(Middlebox):
         return [packet]
 
     def reset(self) -> None:
+        """Zero the dropped-packet count."""
         self.dropped = 0
 
 

@@ -66,6 +66,7 @@ class AirtelCensor(Censor):
         self.rst_count = rst_count
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
+        """Inject the block page on a forbidden port-80 request; always forward."""
         if packet.tcp is None:
             return [packet]  # TCP censorship only
         if (

@@ -59,6 +59,7 @@ class IranCensor(Censor):
         self.blackholed: Dict[FlowKey, float] = {}
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
+        """Blackhole a flow's client packets once it carries a forbidden name."""
         if packet.tcp is None:
             return [packet]  # TCP censorship only
         if not self.is_client_to_server(direction):

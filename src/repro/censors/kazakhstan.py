@@ -95,6 +95,7 @@ class KazakhstanCensor(Censor):
     # ------------------------------------------------------------------
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
+        """Run the handshake model; MITM a forbidden request's flow."""
         if packet.tcp is None:
             return [packet]  # TCP censorship only
         if packet.dport not in self.censored_ports and packet.sport not in self.censored_ports:

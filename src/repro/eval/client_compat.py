@@ -79,12 +79,13 @@ def run_os_matrix(
         fixed = compat_strategy(number) if include_compat else None
         for os_name in all_personality_names():
             result = run_trial(
-                None, protocol, plain, seed=seed, client_os=os_name
+                None, protocol, plain, seed=seed, client_os=os_name, capture_trace=False
             )
             matrix.works[(number, os_name)] = result.succeeded
             if fixed is not None:
                 result = run_trial(
-                    None, protocol, fixed, seed=seed, client_os=os_name
+                    None, protocol, fixed, seed=seed, client_os=os_name,
+                    capture_trace=False,
                 )
                 matrix.compat_works[(number, os_name)] = result.succeeded
     return matrix
@@ -109,6 +110,7 @@ def run_network_matrix(
                 seed=seed,
                 client_os=client_os,
                 client_side_boxes=[box],
+                capture_trace=False,
             )
             row[number] = result.succeeded
             box.reset()

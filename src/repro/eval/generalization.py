@@ -56,6 +56,7 @@ def run_generalization(
             None,
             client_strategy=client_side_strategy(name),
             seed=seed,
+            capture_trace=False,
         )
         result.client_side_working[name] = trial.succeeded
         for analog in server_side_analogs(name):

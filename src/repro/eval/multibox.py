@@ -65,6 +65,7 @@ def protocol_dependence(
                 seed=trial_seed,
                 censor=censor,
                 dns_tries=1,
+                capture_trace=False,
             )
             successes += result.succeeded
         rates[protocol] = successes / trials

@@ -66,6 +66,7 @@ def measure_across_vantages(
                 seed=seed + index * 1_000_003 + trial_index * 7919,
                 censor_hop=vantage.censor_hop,
                 server_hop=vantage.server_hop,
+                capture_trace=False,
             )
             wins += result.succeeded
         rates[vantage.name] = wins / trials

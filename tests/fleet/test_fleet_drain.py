@@ -151,3 +151,19 @@ def test_cancelled_timers_do_not_pin_a_retired_world():
 
     FleetWorld(spec, on_flow_done=done).run()
     assert checked == [True]
+
+
+def test_at_most_one_deadline_entry_is_queued():
+    """Flows retire long before their 40 s deadlines; a retired flow must
+    leave no deadline entry behind in the heap, so the world keeps just
+    one, armed at the oldest open flow's deadline."""
+    queued = []
+
+    def done(world, record):
+        queued.append(
+            sum(1 for entry in world.scheduler._queue if entry[3] == world._deadline)
+        )
+
+    run_fleet(FleetSpec(clients=200, seed=1, spacing=0.05), on_flow_done=done)
+    assert len(queued) == 200
+    assert max(queued) <= 1

@@ -3,12 +3,14 @@
 
 A small pydocstyle-flavoured checker with no dependencies, enforced in
 CI (and by ``tests/test_docstrings.py``) for ``src/repro/campaign``,
-``src/repro/obs``, ``src/repro/fleet``, ``src/repro/censors/adaptive.py``,
+``src/repro/obs``, ``src/repro/fleet``, ``src/repro/censors``,
 ``src/repro/core/evolution/coevolve.py``, ``src/repro/netsim/flows.py``,
 ``src/repro/deploy/selector.py``, ``src/repro/eval/runner.py``,
-``src/repro/runtime/spec.py``, ``src/repro/netsim/network.py`` and
-``src/repro/packets/pool.py`` so new public APIs ship documented. Arguments may be directories (checked recursively) or
-single files. Rules:
+``src/repro/eval/reference.py``, ``src/repro/eval/matrix.py``,
+``src/repro/eval/sni_matrix.py``, ``src/repro/runtime/spec.py``,
+``src/repro/netsim/network.py`` and ``src/repro/packets/pool.py`` so
+new public APIs ship documented. Arguments may be directories (checked
+recursively) or single files. Rules:
 
 - every module has a docstring;
 - every public class (name not starting with ``_``) has a docstring;
