@@ -15,7 +15,7 @@ from .checksum import internet_checksum, pseudo_header, tcp_checksum
 from .fields import TCP_FLAG_LETTERS, FieldSpec, corrupt_value, parse_replace_value
 from .ip import IPv4
 from .ipv6 import IPv6, canonical_ip, compress_v6, expand_v6
-from .packet import Packet, make_tcp_packet, make_udp_packet
+from .packet import Packet, field_registries, make_tcp_packet, make_udp_packet
 from .tcp import TCP, bits_to_flags, flags_to_bits
 from .udp import IP_PROTO_UDP, UDP
 
@@ -28,6 +28,7 @@ __all__ = [
     "canonical_ip",
     "compress_v6",
     "expand_v6",
+    "field_registries",
     "TCP",
     "TCP_FLAG_LETTERS",
     "UDP",
