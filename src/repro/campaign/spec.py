@@ -3,17 +3,17 @@
 A measurement *campaign* is what the paper actually ran for Tables 1–2:
 thousands of trials per (country x protocol x strategy) cell, collected
 over days. A :class:`CampaignSpec` captures such a run as plain JSON-able
-data — a named list of :class:`CellSpec` grid cells plus sharding
-parameters — and expands it **deterministically** into an ordered list of
-:class:`~repro.runtime.TrialSpec` shards:
+data — a named list of :class:`~repro.runtime.CellSpec` grid cells plus
+sharding parameters — and expands it **deterministically** into an
+ordered list of :class:`~repro.runtime.TrialSpec` shards:
 
 - cell order and per-cell trial order are exactly the listed order, so
   the expansion (and therefore every content hash) is a pure function of
   the spec;
-- per-trial seeds derive from each cell's base seed via
-  :func:`repro.runtime.trial_seed`, the same derivation ``success_rate``
-  uses — a campaign cell reproduces the corresponding direct
-  measurement bit-for-bit;
+- each cell expands through :meth:`~repro.runtime.CellSpec.trial_specs`,
+  the same expansion every evaluation driver runs through
+  ``TrialExecutor.run_cells`` — a campaign cell reproduces the
+  corresponding direct measurement bit-for-bit;
 - shards are fixed-size chunks of the expansion, each content-addressed
   by a SHA-256 over the campaign hash, the shard index, and its trial
   spec hashes (see :func:`Shard.shard_hash`).
@@ -29,13 +29,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Sequence, Tuple, Union
 
-from ..censors.countries import COUNTRIES
-from ..eval.runner import PROTOCOLS
-from ..runtime import TrialSpec, trial_seed
+from ..runtime import CampaignError, CellSpec, SpecError, TrialSpec
 from ..runtime.cache import canonical_sha
-from ..runtime.spec import SpecError, impairment_dict
 
 __all__ = [
     "CampaignError",
@@ -49,188 +46,6 @@ __all__ = [
 #: Default trials per shard. Small enough that a kill loses little work,
 #: large enough that per-shard checkpoint I/O stays negligible.
 DEFAULT_SHARD_SIZE = 50
-
-
-class CampaignError(ValueError):
-    """Raised when a campaign spec is malformed or cannot be expanded."""
-
-
-def _strategy_dsl(value: Any) -> Optional[str]:
-    """Canonical strategy DSL text for a cell's strategy field.
-
-    Accepts ``None``/``0`` (no evasion), a paper strategy number (1-11,
-    resolved to its deployed DSL), or a Geneva DSL string (validated by
-    parsing it).
-    """
-    if value is None or value == 0:
-        return None
-    if isinstance(value, bool):
-        raise CampaignError(f"bad strategy {value!r}")
-    if isinstance(value, int):
-        from ..core import SERVER_STRATEGIES, deployed_strategy
-
-        if value not in SERVER_STRATEGIES:
-            valid = f"{min(SERVER_STRATEGIES)}-{max(SERVER_STRATEGIES)}"
-            raise CampaignError(
-                f"unknown strategy number {value} (valid: {valid})"
-            )
-        return str(deployed_strategy(value))
-    if isinstance(value, str):
-        from ..core import Strategy
-
-        try:
-            Strategy.parse(value)
-        except Exception as exc:
-            raise CampaignError(f"unparseable strategy {value!r}: {exc}") from None
-        return value
-    raise CampaignError(f"bad strategy {value!r}")
-
-
-@dataclass
-class CellSpec:
-    """One grid cell: a (country, protocol, strategy) point measured with
-    ``trials`` independent seeded trials.
-
-    Attributes:
-        country: Censor country, or ``None`` for an uncensored path.
-        protocol: Application protocol (``"http"``, ``"dns"``, ...).
-        server_strategy: Canonical server-side strategy DSL, or ``None``.
-        trials: Number of independent trials for this cell (>= 1).
-        seed: Cell base seed; trial ``i`` runs with
-            ``trial_seed(seed, i)``.
-        client_strategy: Client-side strategy DSL, or ``None``.
-        impairment: Canonical network-impairment dict, or ``None``.
-        net_seed: Optional base seed for the impairment stream, fanned
-            out per trial exactly like ``success_rate``'s ``net_seed``.
-        options: Extra JSON-able :class:`~repro.eval.runner.Trial`
-            keyword arguments (workloads, hop placement, ...).
-        label: Optional human-readable name carried into reports.
-    """
-
-    country: Optional[str]
-    protocol: str
-    server_strategy: Optional[str] = None
-    trials: int = 1
-    seed: int = 0
-    client_strategy: Optional[str] = None
-    impairment: Optional[Dict[str, Any]] = None
-    net_seed: Optional[int] = None
-    options: Dict[str, Any] = field(default_factory=dict)
-    label: Optional[str] = None
-
-    @classmethod
-    def build(
-        cls,
-        country: Optional[str],
-        protocol: str,
-        server_strategy: Any = None,
-        trials: int = 1,
-        seed: int = 0,
-        client_strategy: Any = None,
-        impairment: Any = None,
-        net_seed: Optional[int] = None,
-        options: Optional[Dict[str, Any]] = None,
-        label: Optional[str] = None,
-    ) -> "CellSpec":
-        """Validate and canonicalize ``run_trial``-style cell arguments."""
-        if country is not None and country not in COUNTRIES:
-            raise CampaignError(
-                f"unknown country {country!r} (valid: {', '.join(COUNTRIES)}, null)"
-            )
-        if protocol not in PROTOCOLS:
-            raise CampaignError(
-                f"unknown protocol {protocol!r} (valid: {', '.join(PROTOCOLS)})"
-            )
-        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
-            raise CampaignError(f"cell trials must be a positive int, got {trials!r}")
-        try:
-            canonical_impairment = impairment_dict(impairment)
-        except SpecError as exc:
-            raise CampaignError(str(exc)) from None
-        return cls(
-            country=country,
-            protocol=protocol,
-            server_strategy=_strategy_dsl(server_strategy),
-            trials=trials,
-            seed=int(seed),
-            client_strategy=_strategy_dsl(client_strategy),
-            impairment=canonical_impairment,
-            net_seed=None if net_seed is None else int(net_seed),
-            options=dict(options or {}),
-            label=label,
-        )
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CellSpec":
-        """Build a cell from its JSON form (unknown keys rejected)."""
-        if not isinstance(data, dict):
-            raise CampaignError(f"cell must be an object, got {data!r}")
-        known = {
-            "country", "protocol", "server_strategy", "trials", "seed",
-            "client_strategy", "impairment", "net_seed", "options", "label",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise CampaignError(f"unknown cell keys: {', '.join(sorted(unknown))}")
-        if "protocol" not in data:
-            raise CampaignError("cell is missing required key 'protocol'")
-        return cls.build(
-            country=data.get("country"),
-            protocol=data["protocol"],
-            server_strategy=data.get("server_strategy"),
-            trials=data.get("trials", 1),
-            seed=data.get("seed", 0),
-            client_strategy=data.get("client_strategy"),
-            impairment=data.get("impairment"),
-            net_seed=data.get("net_seed"),
-            options=data.get("options"),
-            label=data.get("label"),
-        )
-
-    def as_dict(self) -> Dict[str, Any]:
-        """Canonical minimal JSON form (``None``/empty fields omitted)."""
-        out: Dict[str, Any] = {
-            "country": self.country,
-            "protocol": self.protocol,
-            "trials": self.trials,
-            "seed": self.seed,
-        }
-        if self.server_strategy is not None:
-            out["server_strategy"] = self.server_strategy
-        if self.client_strategy is not None:
-            out["client_strategy"] = self.client_strategy
-        if self.impairment is not None:
-            out["impairment"] = self.impairment
-        if self.net_seed is not None:
-            out["net_seed"] = self.net_seed
-        if self.options:
-            out["options"] = self.options
-        if self.label is not None:
-            out["label"] = self.label
-        return out
-
-    def trial_specs(self) -> List[TrialSpec]:
-        """Expand this cell into its ``trials`` ordered trial specs."""
-        specs: List[TrialSpec] = []
-        for index in range(self.trials):
-            extra = dict(self.options)
-            if self.net_seed is not None:
-                extra["net_seed"] = trial_seed(self.net_seed, index)
-            try:
-                specs.append(
-                    TrialSpec.build(
-                        self.country,
-                        self.protocol,
-                        self.server_strategy,
-                        seed=trial_seed(self.seed, index),
-                        client_strategy=self.client_strategy,
-                        impairment=self.impairment,
-                        **extra,
-                    )
-                )
-            except SpecError as exc:
-                raise CampaignError(f"cell cannot be expanded: {exc}") from None
-        return specs
 
 
 @dataclass(frozen=True)
@@ -370,7 +185,11 @@ class CampaignSpec:
         """Deterministic full expansion: cells in order, trials in order."""
         trials: List[CampaignTrial] = []
         for cell_index, cell in enumerate(self.cells):
-            for spec in cell.trial_specs():
+            try:
+                specs = cell.trial_specs()
+            except SpecError as exc:
+                raise CampaignError(f"cell cannot be expanded: {exc}") from None
+            for spec in specs:
                 trials.append(CampaignTrial(len(trials), cell_index, spec))
         return trials
 

@@ -11,13 +11,13 @@ with no evasion and record whether censorship triggers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from ..censors.countries import COUNTRIES
-from ..runtime import TrialExecutor, TrialSpec, trial_seed
+from ..runtime import CellSpec, TrialExecutor
 from .runner import PROTOCOLS, censored_workload
 
-__all__ = ["MatrixEntry", "measure_censorship_matrix", "format_matrix"]
+__all__ = ["MatrixEntry", "matrix_cells", "measure_censorship_matrix", "format_matrix"]
 
 
 @dataclass
@@ -28,6 +28,33 @@ class MatrixEntry:
     protocol: str
     censored: bool
     expected: bool
+
+
+def matrix_cells(
+    trials: int = 5,
+    seed: int = 0,
+    impairment=None,
+    net_seed: Optional[int] = None,
+) -> List[CellSpec]:
+    """Table 1's grid: one no-evasion cell per (country, protocol).
+
+    Protocols a country censors use that country's censored workload;
+    other protocols use China's workloads (any forbidden content) to show
+    the censor does not react at all. Every cell has ``trials`` probes
+    from base seed ``seed``; ``impairment`` and ``net_seed`` apply to all.
+    """
+    cells: List[CellSpec] = []
+    for country, profile in COUNTRIES.items():
+        for protocol in PROTOCOLS:
+            source = country if protocol in profile.workloads else "china"
+            cells.append(
+                CellSpec.build(
+                    country, protocol, trials=trials, seed=seed,
+                    impairment=impairment, net_seed=net_seed,
+                    options={"workload": censored_workload(source, protocol)},
+                )
+            )
+    return cells
 
 
 def measure_censorship_matrix(
@@ -41,13 +68,11 @@ def measure_censorship_matrix(
 ) -> List[MatrixEntry]:
     """Probe every (country, protocol) pair with forbidden requests.
 
-    Protocols a country censors use that country's censored workload;
-    other protocols use China's workloads (any forbidden content) to show
-    the censor does not react at all. Each pair is probed ``probes`` times
-    because some censorship (the GFW's SMTP box) is itself flaky — a pair
-    counts as censored when *any* probe is.
+    Each pair of :func:`matrix_cells` is probed ``probes`` times because
+    some censorship (the GFW's SMTP box) is itself flaky — a pair counts
+    as censored when *any* probe is.
 
-    All probes of all pairs are submitted as one batch through a
+    The whole grid runs as one batch through a
     :class:`~repro.runtime.TrialExecutor` (``workers``/``cache`` as in
     :func:`~repro.eval.runner.success_rate`; pass ``executor`` to share
     one and read its :class:`~repro.runtime.RunStats`). ``impairment``
@@ -57,48 +82,16 @@ def measure_censorship_matrix(
     """
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
-
-    pairs = []
-    specs: List[TrialSpec] = []
-    for country, profile in COUNTRIES.items():
-        for protocol in PROTOCOLS:
-            expected = protocol in profile.workloads
-            # Forbidden content for some censor (China's), when this
-            # country does not inspect this protocol.
-            workload = censored_workload(country if expected else "china", protocol)
-            pairs.append((country, protocol, expected))
-            for probe in range(probes):
-                extra = {}
-                if net_seed is not None:
-                    extra["net_seed"] = trial_seed(net_seed, probe)
-                specs.append(
-                    TrialSpec.build(
-                        country,
-                        protocol,
-                        None,
-                        seed=trial_seed(seed, probe),
-                        workload=dict(workload),
-                        impairment=impairment,
-                        **extra,
-                    )
-                )
-
-    results = executor.run_batch(specs)
-    entries: List[MatrixEntry] = []
-    for index, (country, protocol, expected) in enumerate(pairs):
-        probe_results = results[index * probes : (index + 1) * probes]
-        censored = any(
-            result.censored or not result.succeeded for result in probe_results
+    cells = matrix_cells(probes, seed, impairment, net_seed)
+    return [
+        MatrixEntry(
+            country=cell.country,
+            protocol=cell.protocol,
+            censored=any(r.censored or not r.succeeded for r in results),
+            expected=cell.protocol in COUNTRIES[cell.country].workloads,
         )
-        entries.append(
-            MatrixEntry(
-                country=country,
-                protocol=protocol,
-                censored=censored,
-                expected=expected,
-            )
-        )
-    return entries
+        for cell, results in zip(cells, executor.run_cells(cells))
+    ]
 
 
 def format_matrix(entries: List[MatrixEntry]) -> str:

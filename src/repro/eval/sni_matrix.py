@@ -20,16 +20,18 @@ everywhere except deep connection migration (#15).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..censors.countries import countries_with
-from ..core import SERVER_STRATEGIES, deployed_strategy
-from .runner import censored_workload, success_rate
+from ..core import SERVER_STRATEGIES
+from ..runtime import CellSpec
+from .runner import censored_workload
 
 __all__ = [
     "SNI_COLUMNS",
     "SNIMatrixCell",
     "esni_workload",
+    "sni_cells",
     "sni_matrix",
     "format_sni_matrix",
 ]
@@ -61,13 +63,36 @@ class SNIMatrixCell:
         return round(self.measured * 100)
 
 
-def _column_args(country: str, column: str) -> dict:
-    """success_rate arguments for one cell (strategy and/or workload)."""
-    if column == "baseline":
-        return {"strategy": None}
-    if column == "esni":
-        return {"strategy": None, "workload": esni_workload(country)}
-    return {"strategy": deployed_strategy(int(column))}
+def _sni_keys(countries: Optional[Sequence[str]]) -> List[Tuple[str, str]]:
+    """The (country, column) of every cell, in table order."""
+    return [
+        (country, column)
+        for country in countries_with("sni")
+        if countries is None or country in countries
+        for column in SNI_COLUMNS
+    ]
+
+
+def sni_cells(
+    trials: int = 30,
+    seed: int = 0,
+    countries: Optional[Sequence[str]] = None,
+) -> List[CellSpec]:
+    """The SNI grid: one HTTPS cell per (country, column), in table order.
+
+    Column ``i`` runs from base seed ``seed + i * 1_000_003`` in every
+    country. ``esni`` installs no strategy and sends the country's
+    censored name in an encrypted SNI (:func:`esni_workload`).
+    """
+    return [
+        CellSpec.build(
+            country, _PROTOCOL, int(column) if column.isdigit() else None,
+            trials=trials, seed=seed + SNI_COLUMNS.index(column) * 1_000_003,
+            options={"workload": esni_workload(country)} if column == "esni" else None,
+            label=f"sni-{column}",
+        )
+        for country, column in _sni_keys(countries)
+    ]
 
 
 def sni_matrix(
@@ -80,32 +105,20 @@ def sni_matrix(
 ) -> List[SNIMatrixCell]:
     """Measure every cell of the SNI matrix; returns cells in table order.
 
-    One executor spans the whole grid (``workers``/``cache``/``executor``
-    as in :func:`~repro.eval.runner.success_rate`), so the grid is
+    The grid of :func:`sni_cells` runs as one batch through one executor
+    (``workers``/``cache``/``executor`` as in
+    :func:`~repro.eval.runner.success_rate`), so the grid is
     byte-identical across worker counts.
     """
     from ..runtime import TrialExecutor
 
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
-    cells: List[SNIMatrixCell] = []
-    for country in countries_with("sni"):
-        if countries is not None and country not in countries:
-            continue
-        for index, column in enumerate(SNI_COLUMNS):
-            args = _column_args(country, column)
-            strategy = args.pop("strategy")
-            rate = success_rate(
-                country,
-                _PROTOCOL,
-                strategy,
-                trials=trials,
-                seed=seed + index * 1_000_003,
-                executor=executor,
-                **args,
-            )
-            cells.append(SNIMatrixCell(country, column, rate))
-    return cells
+    grid = executor.run_cells(sni_cells(trials, seed, countries))
+    return [
+        SNIMatrixCell(country, column, sum(r.succeeded for r in results) / len(results))
+        for (country, column), results in zip(_sni_keys(countries), grid)
+    ]
 
 
 def _column_label(column: str) -> str:

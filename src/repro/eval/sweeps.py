@@ -23,8 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..censors import CHINA_PROFILES, COUNTRIES, GreatFirewall
 from ..censors.gfw.profiles import EVENT_RST
 from ..core import Strategy, deployed_strategy
-from ..netsim import Impairment
-from ..runtime import trial_seed
+from ..runtime import CellSpec, trial_seed
 from .runner import Trial, run_trial, success_rate
 
 __all__ = [
@@ -34,6 +33,7 @@ __all__ = [
     "mitm_retry_sweep",
     "censor_hop_sweep",
     "impairment_robustness_sweep",
+    "robustness_cells",
     "format_robustness",
     "format_sweep",
     "robustness_case",
@@ -209,6 +209,40 @@ def robustness_case(country: str) -> Tuple[str, int]:
 DEFAULT_LOSS_GRID = (0.0, 0.01, 0.02, 0.05)
 
 
+def _loss_keys(
+    countries: Optional[Sequence[str]], loss_rates: Sequence[float]
+) -> List[Tuple[str, float]]:
+    """The (country, loss) of every cell: countries sorted, losses in order."""
+    return [
+        (country, loss)
+        for country in (countries if countries is not None else sorted(COUNTRIES))
+        for loss in loss_rates
+    ]
+
+
+def robustness_cells(
+    trials: int = 20,
+    seed: int = 0,
+    net_seed: Optional[int] = None,
+    loss_rates: Sequence[float] = DEFAULT_LOSS_GRID,
+    countries: Optional[Sequence[str]] = None,
+) -> List[CellSpec]:
+    """The loss sweep's grid: each country's :func:`robustness_case` at
+    every per-link loss rate (all registered countries by default).
+
+    A zero loss is the unimpaired path, so impairment and ``net_seed``
+    apply only when ``loss > 0``.
+    """
+    return [
+        CellSpec.build(
+            country, *robustness_case(country), trials=trials, seed=seed,
+            impairment={"loss": loss} if loss else None,
+            net_seed=net_seed if loss else None, label=f"loss-{loss:g}",
+        )
+        for country, loss in _loss_keys(countries, loss_rates)
+    ]
+
+
 def impairment_robustness_sweep(
     loss_rates: Sequence[float] = DEFAULT_LOSS_GRID,
     countries: Optional[Sequence[str]] = None,
@@ -226,35 +260,22 @@ def impairment_robustness_sweep(
     per-link loss rate in ``loss_rates``; clients recover dropped
     segments through TCP retransmission, so the curves show how much
     real-path degradation each evasion strategy tolerates before its
-    success rate collapses.
+    success rate collapses. The grid of :func:`robustness_cells` runs as
+    one batch.
 
     ``net_seed`` pins the impairment randomness (fanned out per trial);
     leaving it ``None`` splits the impairment stream from each trial's
     own seed. Either way two identical invocations produce identical
     curves. Returns ``{country: {loss_rate: success_rate}}``.
     """
-    if countries is None:
-        countries = sorted(COUNTRIES)
+    from ..runtime import TrialExecutor
+
+    if executor is None:
+        executor = TrialExecutor(workers=workers, cache=cache)
+    grid = executor.run_cells(robustness_cells(trials, seed, net_seed, loss_rates, countries))
     curves: Dict[str, Dict[float, float]] = {}
-    for country in countries:
-        protocol, number = robustness_case(country)
-        strategy = deployed_strategy(number)
-        curve: Dict[float, float] = {}
-        for loss in loss_rates:
-            impairment = Impairment(loss=loss) if loss else None
-            curve[loss] = success_rate(
-                country,
-                protocol,
-                strategy,
-                trials=trials,
-                seed=seed,
-                workers=workers,
-                cache=cache,
-                executor=executor,
-                impairment=impairment,
-                net_seed=net_seed if impairment is not None else None,
-            )
-        curves[country] = curve
+    for (country, loss), results in zip(_loss_keys(countries, loss_rates), grid):
+        curves.setdefault(country, {})[loss] = sum(r.succeeded for r in results) / trials
     return curves
 
 

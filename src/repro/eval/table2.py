@@ -7,15 +7,18 @@ to the paper's values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..censors.countries import countries_with
-from ..core import SERVER_STRATEGIES, deployed_strategy
+from ..core import SERVER_STRATEGIES
+from ..runtime import CellSpec
 from .reference import CHINA_PROTOCOLS, TABLE2_OTHER, paper_rate
-from .runner import success_rate
 
-__all__ = ["Table2Cell", "generate_table2", "format_table2", "CHINA_STRATEGY_NUMBERS"]
+__all__ = [
+    "Table2Cell", "table2_cells", "generate_table2", "format_table2",
+    "CHINA_STRATEGY_NUMBERS",
+]
 
 #: Strategy numbers evaluated against China (Table 2's China block).
 CHINA_STRATEGY_NUMBERS = (0, 1, 2, 3, 4, 5, 6, 7, 8)
@@ -47,8 +50,42 @@ class Table2Cell:
         return self.measured_pct - self.paper
 
 
-def _strategy_for(number: int):
-    return None if number == 0 else deployed_strategy(number)
+def _table2_keys(
+    countries: Optional[Sequence[str]], china_protocols: Sequence[str]
+) -> List[Tuple[str, int, str]]:
+    """The (country, strategy number, protocol) of every cell, in table order."""
+    wanted = countries if countries is not None else countries_with("paper")
+    china = [("china", n, p) for n in CHINA_STRATEGY_NUMBERS for p in china_protocols]
+    return (china if "china" in wanted else []) + [
+        key for key in OTHER_CELLS if key[0] in wanted
+    ]
+
+
+def table2_cells(
+    trials: int = 150,
+    seed: int = 0,
+    countries: Optional[Sequence[str]] = None,
+    china_protocols: Sequence[str] = CHINA_PROTOCOLS,
+) -> List[CellSpec]:
+    """Table 2's grid: one cell per (country, protocol, strategy), in table order.
+
+    China's cells run ``trials`` trials from base seed
+    ``seed + number * 1_000_003``; the deterministic censors need fewer,
+    ``max(10, trials // 5)`` from ``seed + number * 31``.
+    """
+    cells: List[CellSpec] = []
+    for country, number, protocol in _table2_keys(countries, china_protocols):
+        if country == "china":
+            count, base = trials, seed + number * 1_000_003
+        else:  # deterministic censors need few trials
+            count, base = max(10, trials // 5), seed + number * 31
+        cells.append(
+            CellSpec.build(
+                country, protocol, number, trials=count, seed=base,
+                label=f"strategy-{number}",
+            )
+        )
+    return cells
 
 
 def generate_table2(
@@ -62,46 +99,24 @@ def generate_table2(
 ) -> List[Table2Cell]:
     """Measure every Table 2 cell; returns cells in table order.
 
-    One :class:`~repro.runtime.TrialExecutor` is shared across all cells
-    so the result cache and run counters span the whole table
-    (``workers``/``cache``/``executor`` as in
-    :func:`~repro.eval.runner.success_rate`).
+    The grid of :func:`table2_cells` runs as one batch through one
+    :class:`~repro.runtime.TrialExecutor`, so the result cache and run
+    counters span the whole table (``workers``/``cache``/``executor`` as
+    in :func:`~repro.eval.runner.success_rate`).
     """
     from ..runtime import TrialExecutor
 
     if executor is None:
         executor = TrialExecutor(workers=workers, cache=cache)
-    wanted = countries if countries is not None else countries_with("paper")
-    cells: List[Table2Cell] = []
-    if "china" in wanted:
-        for number in CHINA_STRATEGY_NUMBERS:
-            for protocol in china_protocols:
-                rate = success_rate(
-                    "china",
-                    protocol,
-                    _strategy_for(number),
-                    trials=trials,
-                    seed=seed + number * 1_000_003,
-                    executor=executor,
-                )
-                cells.append(
-                    Table2Cell("china", number, protocol, rate, paper_rate("china", number, protocol))
-                )
-    for country, number, protocol in OTHER_CELLS:
-        if country not in wanted:
-            continue
-        rate = success_rate(
-            country,
-            protocol,
-            _strategy_for(number),
-            trials=max(10, trials // 5),  # deterministic censors need few trials
-            seed=seed + number * 31,
-            executor=executor,
+    keys = _table2_keys(countries, china_protocols)
+    grid = executor.run_cells(table2_cells(trials, seed, countries, china_protocols))
+    return [
+        Table2Cell(
+            country, number, protocol, sum(r.succeeded for r in results) / len(results),
+            paper_rate(country, number, protocol),
         )
-        cells.append(
-            Table2Cell(country, number, protocol, rate, paper_rate(country, number, protocol))
-        )
-    return cells
+        for (country, number, protocol), results in zip(keys, grid)
+    ]
 
 
 def format_table2(cells: List[Table2Cell]) -> str:

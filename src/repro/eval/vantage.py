@@ -11,12 +11,14 @@ measures a strategy's success rate across a set of them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..core import deployed_strategy
-from .runner import run_trial
+from ..runtime import CellSpec, TrialExecutor
 
-__all__ = ["VantagePoint", "VANTAGE_POINTS", "measure_across_vantages", "format_vantages"]
+__all__ = [
+    "VantagePoint", "VANTAGE_POINTS", "vantage_cells", "measure_across_vantages",
+    "format_vantages",
+]
 
 
 @dataclass(frozen=True)
@@ -45,6 +47,26 @@ VANTAGE_POINTS: Tuple[VantagePoint, ...] = (
 )
 
 
+def vantage_cells(
+    strategy_number: int = 1,
+    protocol: str = "http",
+    country: str = "china",
+    trials: int = 100,
+    seed: int = 0,
+    vantages: Tuple[VantagePoint, ...] = VANTAGE_POINTS,
+) -> List[CellSpec]:
+    """One cell per vantage point, in order; vantage ``i`` runs from base
+    seed ``seed + i * 1_000_003`` with its censor and server hops."""
+    return [
+        CellSpec.build(
+            country, protocol, strategy_number, trials=trials,
+            seed=seed + index * 1_000_003, label=vantage.name,
+            options={"censor_hop": vantage.censor_hop, "server_hop": vantage.server_hop},
+        )
+        for index, vantage in enumerate(vantages)
+    ]
+
+
 def measure_across_vantages(
     strategy_number: int = 1,
     protocol: str = "http",
@@ -54,23 +76,13 @@ def measure_across_vantages(
     vantages: Tuple[VantagePoint, ...] = VANTAGE_POINTS,
 ) -> Dict[str, float]:
     """Success rate of one strategy from each vantage point."""
-    strategy = deployed_strategy(strategy_number)
-    rates: Dict[str, float] = {}
-    for index, vantage in enumerate(vantages):
-        wins = 0
-        for trial_index in range(trials):
-            result = run_trial(
-                country,
-                protocol,
-                strategy,
-                seed=seed + index * 1_000_003 + trial_index * 7919,
-                censor_hop=vantage.censor_hop,
-                server_hop=vantage.server_hop,
-                capture_trace=False,
-            )
-            wins += result.succeeded
-        rates[vantage.name] = wins / trials
-    return rates
+    grid = TrialExecutor().run_cells(
+        vantage_cells(strategy_number, protocol, country, trials, seed, vantages)
+    )
+    return {
+        vantage.name: sum(result.succeeded for result in results) / trials
+        for vantage, results in zip(vantages, grid)
+    }
 
 
 def format_vantages(rates: Dict[str, float], paper_note: str = "") -> str:

@@ -4,9 +4,11 @@ This is the scaling substrate every evaluation module funnels through:
 
 - :class:`~repro.runtime.spec.TrialSpec` — one trial as picklable data
   with a canonical content hash;
-- :class:`~repro.runtime.executor.TrialExecutor` — fans spec batches out
-  over a process pool (or runs them in-process for ``workers=1``) and
-  reports :class:`~repro.runtime.executor.RunStats`;
+- :class:`~repro.runtime.cell.CellSpec` — one grid cell, where its
+  trials' seeds fan out;
+- :class:`~repro.runtime.executor.TrialExecutor` — fans spec batches
+  (or grids of cells) out over a process pool (or runs them in-process
+  for ``workers=1``) and reports :class:`~repro.runtime.executor.RunStats`;
 - :class:`~repro.runtime.cache.ResultCache` — content-addressed result
   store (in-memory LRU + optional ``.repro_cache/`` disk layer);
 - :func:`~repro.runtime.seeds.trial_seed` — the single per-trial seed
@@ -14,6 +16,7 @@ This is the scaling substrate every evaluation module funnels through:
 """
 
 from .cache import DEFAULT_CACHE_DIR, CacheStats, ResultCache, resolve_cache
+from .cell import CampaignError, CellSpec
 from .executor import RunStats, TrialExecutor
 from .seeds import fleet_stream_seed, net_stream_seed, splitmix64, trial_seed
 from .spec import SpecError, TrialSpec, strategy_text
@@ -21,6 +24,8 @@ from .spec import SpecError, TrialSpec, strategy_text
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "CacheStats",
+    "CampaignError",
+    "CellSpec",
     "ResultCache",
     "RunStats",
     "SpecError",
