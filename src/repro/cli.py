@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the trial's packets to a pcap file (opens in Wireshark)",
     )
 
-    def positive_workers(text):
+    def positive_int(text):
         value = int(text)
         if value < 1:
             raise argparse.ArgumentTypeError("must be >= 1")
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_runtime_flags(p):
         p.add_argument(
-            "--workers", type=positive_workers, default=1,
+            "--workers", type=positive_int, default=1,
             help="worker processes for the trial batch (1 = serial in-process)",
         )
         p.add_argument(
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rates = sub.add_parser("rates", help="measure a success rate")
     add_target(p_rates)
-    p_rates.add_argument("--trials", type=int, default=100)
+    p_rates.add_argument("--trials", type=positive_int, default=100)
     add_runtime_flags(p_rates)
     add_impairment_flags(p_rates)
 
@@ -185,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--population", type=int, default=30)
     p_evolve.add_argument("--generations", type=int, default=30)
     p_evolve.add_argument("--seed", type=int, default=3)
-    p_evolve.add_argument("--trials", type=int, default=3)
+    p_evolve.add_argument("--trials", type=positive_int, default=3)
     p_evolve.add_argument(
         "--minimize",
         action="store_true",
@@ -220,11 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="censor genome population size (default: 6)",
     )
     p_coevolve.add_argument(
-        "--trials", type=int, default=2,
+        "--trials", type=positive_int, default=2,
         help="trials per strategy x censor pair during the search",
     )
     p_coevolve.add_argument(
-        "--frontier-trials", type=int, default=10,
+        "--frontier-trials", type=positive_int, default=10,
         help="trials per pair for the final frontier report",
     )
     p_coevolve.add_argument("--seed", type=int, default=1)
@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce", help="regenerate the paper's tables and figures"
     )
     p_repro.add_argument("--out", default="results", help="output directory")
-    p_repro.add_argument("--trials", type=int, default=150)
+    p_repro.add_argument("--trials", type=positive_int, default=150)
     p_repro.add_argument(
         "--only",
         nargs="*",
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"library strategy number ({_STRATEGY_RANGE}) "
              "or a Geneva strategy string",
     )
-    p_profile.add_argument("--trials", type=int, default=5)
+    p_profile.add_argument("--trials", type=positive_int, default=5)
     p_profile.add_argument("--seed", type=int, default=0)
     p_profile.add_argument(
         "--metrics-json", default=None, metavar="FILE",
@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--countries", nargs="*", default=None, choices=censors,
         help="countries to sweep (default: every registered country)",
     )
-    p_robust.add_argument("--trials", type=int, default=20)
+    p_robust.add_argument("--trials", type=positive_int, default=20)
     p_robust.add_argument("--seed", type=int, default=0)
     p_robust.add_argument(
         "--net-seed", type=int, default=None, metavar="N",
@@ -303,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sni = sub.add_parser(
         "sni", help="measure the SNI-era matrix (SNI censors vs strategies 12-15)"
     )
-    p_sni.add_argument("--trials", type=int, default=30)
+    p_sni.add_argument("--trials", type=positive_int, default=30)
     p_sni.add_argument("--seed", type=int, default=0)
     p_sni.add_argument(
         "--countries", nargs="*", default=None,
@@ -341,14 +341,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="run only this machine's share of the shards (1-based I of N)",
     )
     c_run.add_argument(
-        "--trials", type=int, default=None, metavar="N",
+        "--trials", type=positive_int, default=None, metavar="N",
         help="preset scale override / per-cell trial cap for file specs",
     )
     c_run.add_argument(
         "--seed", type=int, default=None, help="preset base-seed override"
     )
     c_run.add_argument(
-        "--shard-size", type=positive_workers, default=None, metavar="N",
+        "--shard-size", type=positive_int, default=None, metavar="N",
         help="trials per shard (the checkpoint granularity)",
     )
     c_run.add_argument(
@@ -361,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra attempts per failing shard before aborting (default 2)",
     )
     c_run.add_argument(
-        "--workers", type=positive_workers, default=1,
+        "--workers", type=positive_int, default=1,
         help="worker processes for shard execution (1 = serial in-process)",
     )
     c_run.add_argument(
@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
         "fleet", help="one deployed server vs a stream of concurrent client flows"
     )
     p_fleet.add_argument(
-        "--clients", type=positive_workers, default=500,
+        "--clients", type=positive_int, default=500,
         help="number of client flows in the arrival stream (default 500)",
     )
     p_fleet.add_argument("--seed", type=int, default=0, help="deterministic seed")
@@ -403,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
              "packet-arena leases)",
     )
     p_fleet.add_argument(
-        "--workers", type=positive_workers, default=1,
+        "--workers", type=positive_int, default=1,
         help="worker processes (flows shard round-robin; records are "
              "byte-identical for any worker count)",
     )

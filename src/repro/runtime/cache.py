@@ -83,6 +83,7 @@ class CacheStats:
     poisoned: int = 0
 
     def as_dict(self) -> Dict[str, int]:
+        """JSON-able form (telemetry ``run.json``)."""
         return {
             "hits": self.hits,
             "misses": self.misses,

@@ -3,11 +3,17 @@
 Historically each caller spaced trial seeds with ad-hoc arithmetic like
 ``seed + index * 7919``, which collides across adjacent base seeds
 (``seed=7919, index=0`` and ``seed=0, index=1`` run the *same* trial and
-silently correlate "independent" measurements). All seed fan-out now goes
-through :func:`trial_seed`, a splitmix64-style bijective mixer: the same
-``(base_seed, index)`` pair always yields the same trial seed, distinct
-pairs essentially never share one, and both the serial and the parallel
-executor paths use this single definition, so they are bit-identical.
+silently correlate "independent" measurements). Batched seed fan-out now
+goes through :func:`trial_seed` (in :meth:`repro.runtime.CellSpec.trial_specs`),
+a splitmix64-style bijective mixer: the same ``(base_seed, index)`` pair
+always yields the same trial seed, distinct pairs essentially never share
+one, and both the serial and the parallel executor paths use this single
+definition, so they are bit-identical. The in-process probes that hold
+live hooks or censors still space seeds by ``+ index * 7919``:
+``seq_offset_probe``, ``drop_client_rst_probe`` and ``rst_seq_match_probe``
+in :mod:`repro.eval.followups` and ``protocol_dependence`` in
+:mod:`repro.eval.multibox` (whose ``localize_boxes`` TTL probes use
+``seed * 31 + ttl * 7 + attempt * 7919``).
 """
 
 from __future__ import annotations

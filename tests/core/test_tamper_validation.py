@@ -1,10 +1,12 @@
-"""Malformed tampers are rejected when the strategy is parsed.
+"""Malformed tampers are rejected before the trial runs.
 
-A tamper naming an unknown field, or a replace value its field cannot
-parse, used to parse and then raise inside the trial, the first time the
-action fired. ``Strategy.parse`` now looks the field up in the layer
-registries and parses the replace value, so every strategy either fails
-to parse or runs to a verdict, which must not depend on trace capture.
+A tamper naming an unknown field, a replace value its field cannot
+parse, a transport its trigger's packets lack, or an IP field the
+trial's IP version lacks used to parse and then raise inside the trial,
+the first time the action fired. ``Strategy.parse`` now rejects the
+first three and ``Trial`` the last when it is built, so every strategy
+fails to parse, fails to build, or runs to a verdict, which must not
+depend on trace capture.
 """
 
 import pytest
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.censors import COUNTRIES
 from repro.core import Strategy
-from repro.eval.runner import run_trial
-from repro.packets import TCP, IPv4
+from repro.eval.runner import Trial
+from repro.packets import TCP, UDP, IPv4, IPv6
 
 #: The tampers that parsed and then raised mid-simulation.
 MALFORMED = (
@@ -23,12 +25,16 @@ MALFORMED = (
     "tamper{TCP:flags:replace:XYZ}",
     "tamper{TCP:nosuch:replace:1}",
     "tamper{TCP:nosuch:corrupt}",
+    "tamper{UDP:sport:replace:1}",
 )
 
-#: Every tamperable field a trial's (IPv4, TCP) packets carry.
-FIELDS = [("TCP", name) for name in sorted(TCP.FIELDS)] + [
-    ("IP", name) for name in sorted(IPv4.FIELDS)
-]
+#: Every tamperable field: TCP and UDP, IPv4 and the IPv6-only ones.
+FIELDS = (
+    [("TCP", name) for name in sorted(TCP.FIELDS)]
+    + [("UDP", name) for name in sorted(UDP.FIELDS)]
+    + [("IP", name) for name in sorted(IPv4.FIELDS)]
+    + [("IP", name) for name in sorted(set(IPv6.FIELDS) - set(IPv4.FIELDS))]
+)
 
 PAIRS = [
     (country, protocol)
@@ -53,6 +59,29 @@ values = st.one_of(
 def test_malformed_tamper_rejected_at_parse(tamper):
     with pytest.raises(ValueError):
         Strategy.parse(f"[TCP:flags:SA]-{tamper}-| \\/")
+
+
+def test_transport_tamper_under_other_transport_trigger_rejected():
+    with pytest.raises(ValueError, match="no UDP layer"):
+        Strategy.parse("[TCP:flags:SA]-duplicate(,tamper{UDP:chksum:corrupt})-| \\/")
+    with pytest.raises(ValueError, match="no TCP layer"):
+        Strategy.parse("[UDP:dport:53]-tamper{TCP:window:replace:1}-| \\/")
+    # An IP trigger matches either transport, so both stay legal under it.
+    Strategy.parse("[IP:ttl:64]-tamper{UDP:sport:replace:1}-| \\/")
+
+
+@pytest.mark.parametrize(
+    "tamper, ip_version",
+    [("tamper{IP:fl:corrupt}", 4), ("tamper{IP:tc:replace:1}", 4), ("tamper{IP:id:replace:3}", 6)],
+)
+def test_ip_field_of_the_other_version_rejected_at_build(tamper, ip_version):
+    strategy = Strategy.parse(f"[TCP:flags:SA]-{tamper}-| \\/")
+    field = tamper.split(":")[1]
+    with pytest.raises(ValueError, match=f"IP:{field}.*IPv{ip_version}"):
+        Trial("china", "http", strategy, ip_version=ip_version)
+    with pytest.raises(ValueError, match=f"IP:{field}.*IPv{ip_version}"):
+        Trial("china", "http", client_strategy=strategy, ip_version=ip_version)
+    Trial("china", "http", strategy, ip_version=10 - ip_version)
 
 
 def test_well_formed_tampers_still_parse():
@@ -83,8 +112,12 @@ def test_hostile_tamper_parses_clean_or_is_rejected(field, replace, value, wrap,
     except ValueError:
         return
     country, app = pair
-    traced = run_trial(country, app, strategy, seed=seed, capture_trace=True)
-    bare = run_trial(country, app, strategy, seed=seed, capture_trace=False)
+    try:
+        traced = Trial(country, app, strategy, seed=seed, capture_trace=True)
+    except ValueError:
+        return
+    traced = traced.run()
+    bare = Trial(country, app, strategy, seed=seed, capture_trace=False).run()
     assert (traced.outcome, traced.succeeded, traced.censored) == (
         bare.outcome, bare.succeeded, bare.censored,
     )

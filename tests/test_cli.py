@@ -21,6 +21,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trial", "narnia", "http"])
 
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rates", "china", "http", "--trials"],
+            ["evolve", "china", "http", "--trials"],
+            ["coevolve", "--trials"],
+            ["coevolve", "--frontier-trials"],
+            ["reproduce", "--trials"],
+            ["profile", "--trials"],
+            ["robustness", "--trials"],
+            ["sni", "--trials"],
+            ["campaign", "run", "sni", "--out", "unused", "--trials"],
+        ],
+    )
+    def test_trial_counts_must_be_positive(self, argv, count, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + [count])
+        assert exit_info.value.code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_strategies_listing(self, capsys):

@@ -24,14 +24,11 @@ def test_campaign_and_obs_trees_are_fully_documented():
             REPO / "src" / "repro" / "obs",
             REPO / "src" / "repro" / "fleet",
             REPO / "src" / "repro" / "censors",
-            REPO / "src" / "repro" / "core" / "evolution" / "coevolve.py",
+            REPO / "src" / "repro" / "runtime",
+            REPO / "src" / "repro" / "eval",
+            REPO / "src" / "repro" / "core" / "evolution",
             REPO / "src" / "repro" / "netsim" / "flows.py",
             REPO / "src" / "repro" / "deploy" / "selector.py",
-            REPO / "src" / "repro" / "eval" / "runner.py",
-            REPO / "src" / "repro" / "eval" / "reference.py",
-            REPO / "src" / "repro" / "eval" / "matrix.py",
-            REPO / "src" / "repro" / "eval" / "sni_matrix.py",
-            REPO / "src" / "repro" / "runtime" / "spec.py",
             REPO / "src" / "repro" / "netsim" / "network.py",
             REPO / "src" / "repro" / "packets" / "pool.py",
         ]

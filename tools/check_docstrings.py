@@ -2,12 +2,10 @@
 """Docstring lint: every public API in the given trees must be documented.
 
 A small pydocstyle-flavoured checker with no dependencies, enforced in
-CI (and by ``tests/test_docstrings.py``) for ``src/repro/campaign``,
+CI (and by ``tests/test_docstrings.py``) for the ``src/repro/campaign``,
 ``src/repro/obs``, ``src/repro/fleet``, ``src/repro/censors``,
-``src/repro/core/evolution/coevolve.py``, ``src/repro/netsim/flows.py``,
-``src/repro/deploy/selector.py``, ``src/repro/eval/runner.py``,
-``src/repro/eval/reference.py``, ``src/repro/eval/matrix.py``,
-``src/repro/eval/sni_matrix.py``, ``src/repro/runtime/spec.py``,
+``src/repro/runtime``, ``src/repro/eval`` and ``src/repro/core/evolution``
+trees, ``src/repro/netsim/flows.py``, ``src/repro/deploy/selector.py``,
 ``src/repro/netsim/network.py`` and ``src/repro/packets/pool.py`` so
 new public APIs ship documented. Arguments may be directories (checked
 recursively) or single files. Rules:
