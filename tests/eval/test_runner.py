@@ -12,6 +12,7 @@ from repro.eval import (
     run_trial,
     success_rate,
 )
+from repro.runtime import CampaignError, TrialExecutor, TrialSpec, trial_seed
 
 
 class TestConfiguration:
@@ -56,6 +57,33 @@ class TestDeterminism:
         assert rate == 1.0
         rate = success_rate("kazakhstan", "http", None, trials=5)
         assert rate == 0.0
+
+    @pytest.mark.parametrize(
+        "country, protocol, trials",
+        [("narnia", "http", 2), ("china", "gopher", 2), ("china", "http", 0), ("china", "http", -3)],
+    )
+    def test_success_rate_rejects_a_bad_cell(self, country, protocol, trials):
+        with pytest.raises(CampaignError):
+            success_rate(country, protocol, None, trials=trials)
+
+    def test_success_rate_specs_carry_the_client_strategy(self):
+        """The client strategy is a spec field, so cache keys stay as they were."""
+
+        class Recording(TrialExecutor):
+            def run_batch(self, specs):
+                self.specs = list(specs)
+                return super().run_batch(specs)
+
+        client = deployed_strategy(8)
+        executor = Recording()
+        success_rate("china", "http", None, trials=2, seed=4, client_strategy=client,
+                     executor=executor)
+        assert [spec.canonical_key() for spec in executor.specs] == [
+            TrialSpec.build(
+                "china", "http", None, seed=trial_seed(4, i), client_strategy=client
+            ).canonical_key()
+            for i in range(2)
+        ]
 
 
 class TestTrialAnatomy:
