@@ -263,9 +263,16 @@ class Trial:
         if ip_version not in (4, 6):
             raise ValueError("ip_version must be 4 or 6")
         # Fail before any event runs, not when the tamper first fires.
+        # Every trial protocol runs over TCP, so no trial packet has a
+        # UDP layer to tamper with.
         ip_fields = (IPv6 if ip_version == 6 else IPv4).FIELDS
         for strategy in (server_strategy, client_strategy):
             for tamper in strategy.tampers() if strategy is not None else ():
+                if tamper.protocol == "UDP":
+                    raise ValueError(
+                        f"{tamper} names UDP:{tamper.field}, "
+                        f"but {protocol} trials carry no UDP packets"
+                    )
                 if tamper.protocol == "IP" and tamper.field not in ip_fields:
                     raise ValueError(
                         f"{tamper} names IP:{tamper.field}, "

@@ -1,40 +1,55 @@
 """Content-addressed trial-result cache.
 
-Results are keyed on ``TrialSpec.spec_hash()`` — a SHA-256 of the spec's
-canonical JSON — with two layers:
+Results are keyed on a spec's *shape* — the spec minus its seed (see
+:meth:`TrialSpec.shape`) — and its seed, with two layers:
 
 - an in-memory LRU (per-process, always on), and
-- an optional on-disk JSON store (one file per result under a cache
-  directory, default ``.repro_cache/``) that persists across runs so a
-  repeated matrix/sweep/GA evaluation re-executes nothing.
+- an optional on-disk store under a cache directory (default
+  ``.repro_cache/``) that persists across runs so a repeated
+  matrix/sweep/GA evaluation re-executes nothing.
 
-Disk entries embed the full canonical key next to the result and the
-result's own SHA-256. A lookup or store encodes the spec's key once and
-hashes it once; that hash is the entry's address. A lookup only counts
-as a hit when the stored key equals the requesting spec's key. Equal
-keys have equal hashes, so that one comparison also proves the stored
-key addresses the file it sits in. An entry that fails a check — a
-different key, a result edited after it was written, or a file that
-parses to JSON but not to an object — counts as ``poisoned`` and is
-ignored rather than silently served; the executor then re-runs the
-trial and overwrites it.
+The executor looks a whole batch up with :meth:`ResultCache.lookup_many`
+and stores the results it ran with one :meth:`ResultCache.store_many`
+call. Both group their specs by shape, and encode and hash each shape's
+key (the spec's canonical key without ``seed``) once per group, not once
+per trial. ``lookup`` and ``store`` are one-spec wrappers.
 
-Entries are read and written as raw bytes through one file descriptor.
-A write goes to a temp file named for the writing process
-(``<sha>.json.<pid>.tmp``) and is then renamed over the entry, so
-concurrent writers of one digest never publish each other's half-written
-file. The fan-out directory is created only when that first open finds
-it missing.
+On disk, a shape keeps its results in immutable, self-verifying files,
+one per store batch::
+
+    <dir>/shapes/<shape_sha[:2]>/<shape_sha>/<content_sha>.json
+
+``shape_sha`` is the SHA-256 of the shape key. A file is the canonical
+JSON of ``{"records": [[seed, payload], ...], "shape": <shape key>}``
+with its records sorted by seed, and its name is the SHA-256 of its
+bytes. A read checks that the name matches the bytes (an edited key, an
+edited result and a truncated file all fail), that the stored shape key
+equals the requested one (a valid file copied under another shape
+fails), and that every record is ``[int, object with "outcome"]``. A
+file that fails a check counts as ``poisoned`` once and is unlinked, so
+the executor re-runs its trials and their new file replaces it. A
+writer writes ``<name>.<pid>.tmp`` and renames it into place: equal
+results give equal bytes under an equal name, so concurrent writers
+publish identical files and no reader sees a half-written one. Readers
+skip the temp files.
+
+Earlier versions wrote one file per trial, ``<dir>/<sha[:2]>/<sha>.json``
+with ``sha`` the spec hash. Each instance checks once, with one listing
+of the directory, whether such fan-out directories exist; only then does
+a spec missing from its shape's files fall back to its per-entry file,
+which is read and verified as it always was. Nothing writes that layout
+any more.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import Counter
 from .spec import TrialSpec, canonical_json, key_address
@@ -50,13 +65,9 @@ __all__ = [
 #: Default on-disk store location (relative to the working directory).
 DEFAULT_CACHE_DIR = ".repro_cache"
 
-#: Encodes a disk entry: sorted keys, default separators. Byte-identical
-#: to ``json.dumps(entry, sort_keys=True)``, the format entries have
-#: always had on disk.
-_encode_entry = json.JSONEncoder(sort_keys=True).encode
-
 _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
 _READ_CHUNK = 1 << 16
+_HEX = frozenset("0123456789abcdef")
 
 #: Cache traffic. Non-deterministic: the disk store persists across
 #: runs, so hit/miss splits depend on what earlier runs left behind.
@@ -71,6 +82,10 @@ _CACHE_STORES = Counter(
     "Results written to the cache",
     deterministic=False,
 )
+
+#: ``repro.eval.runner.TrialResult``, imported on first use: the eval
+#: package imports the runtime, so the runtime cannot import it up front.
+_TRIAL_RESULT = None
 
 
 @dataclass
@@ -144,15 +159,52 @@ def result_payload(result) -> Dict[str, Any]:
 
 def payload_result(payload: Dict[str, Any]):
     """Rebuild a TrialResult (trace-free) from a stored payload."""
-    from ..eval.runner import TrialResult
+    global _TRIAL_RESULT
+    if _TRIAL_RESULT is None:
+        from ..eval.runner import TrialResult
 
-    return TrialResult(
+        _TRIAL_RESULT = TrialResult
+    return _TRIAL_RESULT(
         outcome=payload["outcome"],
         succeeded=bool(payload["succeeded"]),
         censored=bool(payload["censored"]),
         detail=payload.get("detail", ""),
         trace=None,
     )
+
+
+def _shape_key(spec: TrialSpec) -> str:
+    """The spec's canonical key without ``seed`` (same encoder, and
+    ``impairment`` still left out when it is ``None``)."""
+    body = spec.as_dict()
+    del body["seed"]
+    return canonical_json(body)
+
+
+def _shape_records(name: str, data: bytes, shape_key: str) -> Optional[List]:
+    """The ``[seed, payload]`` records of one shape file, or ``None``
+    when the file fails a check."""
+    if name != hashlib.sha256(data).hexdigest() + ".json":
+        return None
+    try:
+        body = json.loads(data)
+    except (ValueError, RecursionError):  # RecursionError: nested too deep
+        return None
+    if not isinstance(body, dict) or body.get("shape") != shape_key:
+        return None
+    records = body.get("records")
+    if not isinstance(records, list):
+        return None
+    for record in records:
+        if not (
+            isinstance(record, list)
+            and len(record) == 2
+            and type(record[0]) is int
+            and isinstance(record[1], dict)
+            and "outcome" in record[1]
+        ):
+            return None
+    return records
 
 
 class ResultCache:
@@ -166,19 +218,62 @@ class ResultCache:
         self.directory = Path(directory) if directory is not None else None
         self.max_memory_items = max_memory_items
         self.stats = CacheStats()
-        self._memory: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
+        self._memory: "OrderedDict[Tuple[tuple, int], Dict[str, Any]]" = OrderedDict()
+        self._legacy: Optional[bool] = None  # per-entry files present?
 
     # ------------------------------------------------------------------
 
+    def _shape_dir(self, shape_key: str) -> str:
+        digest = key_address(shape_key)
+        return f"{self.directory}/shapes/{digest[:2]}/{digest}"
+
     def _disk_path(self, digest: str) -> str:
-        # Two-level fan-out keeps directories small at scale.
+        # The per-entry layout of earlier versions, read as a fallback.
         return f"{self.directory}/{digest[:2]}/{digest}.json"
 
-    def _remember(self, digest: str, payload: Dict[str, Any]) -> None:
-        self._memory[digest] = payload
-        self._memory.move_to_end(digest)
+    def _remember(self, key: Tuple[tuple, int], payload: Dict[str, Any]) -> None:
+        self._memory[key] = payload
+        self._memory.move_to_end(key)
         while len(self._memory) > self.max_memory_items:
             self._memory.popitem(last=False)
+
+    def _has_legacy(self) -> bool:
+        """Whether the directory holds per-entry fan-out directories;
+        decided on first need, with one listing."""
+        if self._legacy is None:
+            try:
+                names = os.listdir(self.directory)
+            except OSError:
+                names = []
+            self._legacy = any(len(name) == 2 and _HEX.issuperset(name) for name in names)
+        return self._legacy
+
+    def _load_shape(self, shape_key: str) -> Dict[int, Dict[str, Any]]:
+        """Every verified record of one shape's files, by seed."""
+        shape_dir = self._shape_dir(shape_key)
+        found: Dict[int, Dict[str, Any]] = {}
+        try:
+            names = sorted(os.listdir(shape_dir))
+        except OSError:
+            return found
+        for name in names:
+            if not name.endswith(".json"):
+                continue  # a writer's temp file
+            path = f"{shape_dir}/{name}"
+            try:
+                data = _read_bytes(path)
+            except OSError:
+                continue  # removed since the listing
+            records = _shape_records(name, data, shape_key)
+            if records is None:
+                self._poisoned()
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+                continue
+            found.update(records)
+        return found
 
     def _load_disk(self, digest: str, key: str) -> Optional[Dict[str, Any]]:
         if self.directory is None:
@@ -209,49 +304,79 @@ class ResultCache:
 
     # ------------------------------------------------------------------
 
-    def lookup(self, spec: TrialSpec):
-        """Return the cached TrialResult for ``spec``, or ``None``."""
-        key = spec.canonical_key()
-        digest = key_address(key)
-        payload = self._memory.get(digest)
-        if payload is not None:
-            self._memory.move_to_end(digest)
-            self.stats.hits += 1
-            _CACHE_LOOKUPS.inc(result="hit")
-            return payload_result(payload)
-        payload = self._load_disk(digest, key)
-        if payload is not None:
-            self._remember(digest, payload)
-            self.stats.hits += 1
-            _CACHE_LOOKUPS.inc(result="hit")
-            return payload_result(payload)
-        self.stats.misses += 1
-        _CACHE_LOOKUPS.inc(result="miss")
-        return None
+    def lookup_many(self, specs: Sequence[TrialSpec]) -> List:
+        """The cached TrialResult of each spec, in order (``None`` on a miss).
 
-    def store(self, spec: TrialSpec, result) -> None:
-        """Record ``result`` for ``spec`` in memory (and on disk if set)."""
-        key = spec.canonical_key()
-        digest = key_address(key)
-        payload = result_payload(result)
-        self._remember(digest, payload)
-        self.stats.stores += 1
-        _CACHE_STORES.inc()
+        Each spec is one memory probe. The specs that miss memory are
+        grouped by shape, and each shape's files are read and verified
+        once for the whole group.
+        """
+        memory = self._memory
+        payloads: List[Optional[Dict[str, Any]]] = [None] * len(specs)
+        groups: Dict[tuple, List[int]] = {}
+        for position, spec in enumerate(specs):
+            key = (spec.shape(), spec.seed)
+            payload = memory.get(key)
+            if payload is None:
+                groups.setdefault(key[0], []).append(position)
+            else:
+                memory.move_to_end(key)
+                payloads[position] = payload
+        if groups and self.directory is not None:
+            for shape, positions in groups.items():
+                records = self._load_shape(_shape_key(specs[positions[0]]))
+                for position in positions:
+                    spec = specs[position]
+                    payload = records.get(spec.seed)
+                    if payload is None and self._has_legacy():
+                        payload = self._load_disk(spec.spec_hash(), spec.canonical_key())
+                    if payload is not None:
+                        self._remember((shape, spec.seed), payload)
+                        payloads[position] = payload
+        results = [None if p is None else payload_result(p) for p in payloads]
+        misses = payloads.count(None)
+        self.stats.hits += len(specs) - misses
+        self.stats.misses += misses
+        if misses < len(specs):
+            _CACHE_LOOKUPS.inc(len(specs) - misses, result="hit")
+        if misses:
+            _CACHE_LOOKUPS.inc(misses, result="miss")
+        return results
+
+    def store_many(self, specs: Sequence[TrialSpec], results: Sequence) -> None:
+        """Record each result for its spec, in memory and (if the cache
+        has a directory) as one new file per shape."""
+        groups: Dict[tuple, Tuple[TrialSpec, Dict[int, Dict[str, Any]]]] = {}
+        for spec, result in zip(specs, results):
+            shape = spec.shape()
+            payload = result_payload(result)
+            self._remember((shape, spec.seed), payload)
+            groups.setdefault(shape, (spec, {}))[1][spec.seed] = payload
+        self.stats.stores += len(specs)
+        if specs:
+            _CACHE_STORES.inc(len(specs))
         if self.directory is None:
             return
-        path = self._disk_path(digest)
-        entry = {
-            "spec": key,
-            "result": payload,
-            "result_sha": canonical_sha(payload),
-        }
-        # A temp file per writer process: concurrent writers of one
-        # digest never share one, so none publishes another's half-written
-        # bytes and none finds its own renamed away.
-        tmp = f"{path}.{os.getpid()}.tmp"
-        _write_bytes(tmp, _encode_entry(entry).encode("ascii"))
-        os.replace(tmp, path)  # atomic publish: concurrent readers never
-        # observe a half-written entry
+        for first, records in groups.values():
+            shape_key = _shape_key(first)
+            # Canonical JSON, records sorted by seed: equal results give
+            # equal bytes, and so an equal file name.
+            body = {"records": sorted(records.items()), "shape": shape_key}
+            data = canonical_json(body).encode("ascii")
+            path = f"{self._shape_dir(shape_key)}/{hashlib.sha256(data).hexdigest()}.json"
+            # A temp file per writer process: concurrent writers of one
+            # file never share one, and the rename publishes whole files.
+            tmp = f"{path}.{os.getpid()}.tmp"
+            _write_bytes(tmp, data)
+            os.replace(tmp, path)
+
+    def lookup(self, spec: TrialSpec):
+        """Return the cached TrialResult for ``spec``, or ``None``."""
+        return self.lookup_many([spec])[0]
+
+    def store(self, spec: TrialSpec, result) -> None:
+        """Record ``result`` for ``spec`` (a one-result :meth:`store_many`)."""
+        self.store_many([spec], [result])
 
 
 def resolve_cache(cache) -> Optional[ResultCache]:

@@ -13,9 +13,10 @@ submission order. Three properties are load-bearing:
   Trials are embarrassingly parallel (independent seeds, discrete-event
   simulation), so speedup tracks available cores.
 - **Caching** — an optional :class:`~repro.runtime.cache.ResultCache` is
-  consulted per spec before execution; hits skip the trial entirely and
-  misses are stored back, so repeated matrix/sweep/GA runs converge to
-  zero executions.
+  consulted once per batch before execution; hits skip the trial
+  entirely and the misses' results are stored back in one call once the
+  batch has run, so repeated matrix/sweep/GA runs converge to zero
+  executions.
 
 Observability: every batch produces a :class:`RunStats` with requested /
 executed / cache-hit counters, wall time, per-worker trial counts, and a
@@ -30,7 +31,6 @@ structured record per trial in submission order.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
@@ -369,20 +369,16 @@ class TrialExecutor:
     def _run_batch(self, specs: Sequence[TrialSpec]) -> List:
         start = time.perf_counter()
         stats = RunStats(requested=len(specs), workers=self.workers)
-        results: List[Any] = [None] * len(specs)
         collect = self.metrics is not None
 
         with obs_spans.span("executor/batch"):
-            cached_positions = set()
-            pending: List[int] = []
-            for position, spec in enumerate(specs):
-                cached = self.cache.lookup(spec) if self.cache is not None else None
-                if cached is not None:
-                    results[position] = cached
-                    cached_positions.add(position)
-                    stats.cache_hits += 1
-                else:
-                    pending.append(position)
+            results: List[Any] = (
+                self.cache.lookup_many(specs)
+                if self.cache is not None
+                else [None] * len(specs)
+            )
+            pending = [position for position, result in enumerate(results) if result is None]
+            stats.cache_hits = len(specs) - len(pending)
 
             if pending:
                 # Shard the cold trials: specs identical except for
@@ -437,10 +433,14 @@ class TrialExecutor:
                     for position, out in zip(positions, shard_out["results"]):
                         stats.executed += 1
                         stats.busy_time += out.pop("_duration", 0.0)
-                        result = payload_result(out)
-                        results[position] = result
-                        if self.cache is not None:
-                            self.cache.store(specs[position], result)
+                        results[position] = payload_result(out)
+                if self.cache is not None:
+                    # One store for the whole batch, once every result has
+                    # arrived, so the files written do not depend on how
+                    # the pool chunked the shards.
+                    self.cache.store_many(
+                        [specs[p] for p in pending], [results[p] for p in pending]
+                    )
 
         stats.wall_time = time.perf_counter() - start
         self.last_stats = stats
@@ -453,12 +453,13 @@ class TrialExecutor:
         _EXEC_BUSY.inc(stats.busy_time)
         _EXEC_UTILIZATION.set(stats.utilization)
         if self.runlog is not None:
+            ran = set(pending)
             for position, spec in enumerate(specs):
                 self.runlog.record_trial(
                     self._trial_index,
                     spec,
                     results[position],
-                    cached=position in cached_positions,
+                    cached=position not in ran,
                 )
                 self._trial_index += 1
         return results
@@ -467,7 +468,7 @@ class TrialExecutor:
     def _shard_pending(
         specs: Sequence[TrialSpec], pending: Sequence[int]
     ) -> List[List[int]]:
-        """Group pending positions into shards (same spec minus seed).
+        """Group pending positions into shards (same :meth:`TrialSpec.shape`).
 
         Groups preserve first-seen order, and positions within a group
         stay in submission order, so the seed sequence each shard runs
@@ -475,18 +476,7 @@ class TrialExecutor:
         """
         groups: Dict[tuple, List[int]] = {}
         for position in pending:
-            spec = specs[position]
-            shape = (
-                spec.country,
-                spec.protocol,
-                spec.server_strategy,
-                spec.client_strategy,
-                json.dumps(spec.options, sort_keys=True, separators=(",", ":")),
-                json.dumps(spec.impairment, sort_keys=True, separators=(",", ":"))
-                if spec.impairment is not None
-                else None,
-            )
-            groups.setdefault(shape, []).append(position)
+            groups.setdefault(specs[position].shape(), []).append(position)
         return list(groups.values())
 
     def _worker_ordinal(self, pid: str) -> str:

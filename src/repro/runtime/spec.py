@@ -6,8 +6,9 @@ extra :class:`~repro.eval.runner.Trial` options — as plain JSON-able
 data. That buys three things at once:
 
 - specs can cross a ``multiprocessing`` boundary to worker processes;
-- specs have a canonical string form, so a content-addressed cache can
-  key results on ``sha256(canonical_key)``;
+- specs have a canonical string form, and a seedless *shape* that
+  groups a batch's trials, so a content-addressed cache can key results
+  on them;
 - serial and parallel execution run literally the same description, so
   parity is structural rather than hoped-for.
 
@@ -234,6 +235,23 @@ class TrialSpec:
     def spec_hash(self) -> str:
         """Content address of this spec (SHA-256 of the canonical key)."""
         return key_address(self.canonical_key())
+
+    def shape(self) -> tuple:
+        """This spec minus its seed, as a cheap hashable tuple.
+
+        Specs of equal shape differ at most in their seeds: the executor
+        runs them as one shard and the result cache keeps their results
+        together. Options and impairment enter as canonical JSON, so
+        equal values give equal shapes whatever their key order.
+        """
+        return (
+            self.country,
+            self.protocol,
+            self.server_strategy,
+            self.client_strategy,
+            canonical_json(self.options) if self.options else "{}",
+            None if self.impairment is None else canonical_json(self.impairment),
+        )
 
     # ------------------------------------------------------------------
     # Execution

@@ -1,13 +1,16 @@
 """Malformed tampers are rejected before the trial runs.
 
 A tamper naming an unknown field, a replace value its field cannot
-parse, a transport its trigger's packets lack, or an IP field the
-trial's IP version lacks used to parse and then raise inside the trial,
-the first time the action fired. ``Strategy.parse`` now rejects the
-first three and ``Trial`` the last when it is built, so every strategy
-fails to parse, fails to build, or runs to a verdict, which must not
-depend on trace capture.
+parse, a transport its trigger's packets lack, a UDP field (no trial
+protocol runs over UDP), or an IP field the trial's IP version lacks
+used to parse and then raise inside the trial, the first time the
+action fired. ``Strategy.parse`` now rejects the first three and
+``Trial`` the last two when it is built, so every strategy fails to
+parse, fails to build, or runs to a verdict, which must not depend on
+trace capture.
 """
+
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,9 +45,11 @@ PAIRS = [
     for protocol in COUNTRIES[country].protocols
 ]
 
-#: Where the tamper sits: alone, or under duplicate or fragment.
+#: Where the tamper sits: alone, under duplicate or fragment, or under
+#: an IP trigger, which matches either transport.
 WRAPS = (
     "[TCP:flags:SA]-{}-| \\/",
+    "[IP:version:4]-{}-| \\/",
     "[TCP:flags:SA]-duplicate({},)-| \\/",
     "[TCP:flags:PA]-fragment{{tcp:8:True}}({},)-| \\/",
 )
@@ -82,6 +87,23 @@ def test_ip_field_of_the_other_version_rejected_at_build(tamper, ip_version):
     with pytest.raises(ValueError, match=f"IP:{field}.*IPv{ip_version}"):
         Trial("china", "http", client_strategy=strategy, ip_version=ip_version)
     Trial("china", "http", strategy, ip_version=10 - ip_version)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[IP:proto:6]-tamper{UDP:sport:replace:1}-| \\/",
+        "[IP:version:4]-tamper{UDP:dport:corrupt}-| \\/",
+    ],
+)
+@pytest.mark.parametrize("protocol", ["http", "dns"])
+def test_udp_tamper_rejected_at_build(text, protocol):
+    strategy = Strategy.parse(text)
+    message = re.escape(str(next(strategy.tampers()))) + ".*no UDP"
+    with pytest.raises(ValueError, match=message):
+        Trial("china", protocol, strategy)
+    with pytest.raises(ValueError, match=message):
+        Trial("china", protocol, client_strategy=strategy)
 
 
 def test_well_formed_tampers_still_parse():

@@ -1,19 +1,28 @@
-"""Pinned cache keys and entry bytes, malformed entries, concurrent writers.
+"""Pinned cache keys and file bytes, malformed files, concurrent writers.
 
-The literal keys, addresses and entry bodies below are what earlier
-versions of the cache wrote. A warm cache from any earlier run must stay
-warm, so none of them may change.
+The literal keys and addresses below are what every version of the cache
+has used, and the per-entry bodies are what earlier versions wrote, one
+file per trial. A warm cache from any earlier run must stay warm, so
+none of them may change. The shape files pinned beside them are what the
+cache writes now: one file per shape (a spec minus its seed) and store
+batch.
 """
 
-import hashlib
-import json
 import multiprocessing
-from pathlib import Path
 
 import pytest
 
 from repro.eval.runner import TrialResult
 from repro.runtime import ResultCache, TrialExecutor, TrialSpec
+
+from .cache_files import (
+    entry_path,
+    reference_entry,
+    reference_shape_file,
+    shape_files,
+    write_entry,
+    write_shape_file,
+)
 
 STRATEGY_1 = (
     "[TCP:flags:SA]-duplicate(tamper{TCP:flags:replace:R},"
@@ -111,28 +120,38 @@ PINNED_ENTRIES = [
     (impaired_spec, IMPAIRED_RESULT, IMPAIRED_ENTRY),
 ]
 
+PLAIN_SHAPE_PATH = (
+    "shapes/24/244e8d5ede9e937bf92540419da61bb202eec179a92208845e71e8c7fbc1249e/"
+    "631a57c473d5b32be1e80ce42d4a825a2ed8e2c179eaee0faab5c7bf16ab1f32.json"
+)
+PLAIN_SHAPE_FILE = (
+    b'{"records":[[7,{"censored":false,"detail":"GET ok","outcome":"evaded",'
+    b'"succeeded":true}]],"shape":"{\\"client_strategy\\":null,'
+    b'\\"country\\":\\"china\\",\\"options\\":{},\\"protocol\\":\\"http\\",'
+    b'\\"server_strategy\\":\\"[TCP:flags:SA]-duplicate('
+    b"tamper{TCP:flags:replace:R},tamper{TCP:flags:replace:S})-| "
+    b'\\\\\\\\/\\"}"}'
+)
 
-def entry_path(root, spec) -> Path:
-    """Where an entry lives: ``<root>/<sha[:2]>/<sha>.json``."""
-    digest = spec.spec_hash()
-    return Path(root) / digest[:2] / f"{digest}.json"
+IMPAIRED_SHAPE_PATH = (
+    "shapes/84/846ffacc743367599d18741ad0a39afdf2acaadc3ece4bfc2bca34ffb7d10601/"
+    "e0b7c13caf0b9dc202e2a558c33eddaec4c1cf60318988b0a95a6fe915c1b76e.json"
+)
+IMPAIRED_SHAPE_FILE = (
+    b'{"records":[[3,{"censored":true,"detail":"rst \\u00e9",'
+    b'"outcome":"censored","succeeded":false}]],"shape":"{\\"client_strategy\\":null,'
+    b'\\"country\\":\\"iran\\",\\"impairment\\":{\\"jitter\\":0.01,'
+    b'\\"loss\\":0.05},\\"options\\":{\\"net_seed\\":99},'
+    b'\\"protocol\\":\\"dns\\",\\"server_strategy\\":null}"}'
+)
 
+PINNED_SHAPE_FILES = [
+    (plain_spec, PLAIN_RESULT, PLAIN_SHAPE_PATH, PLAIN_SHAPE_FILE),
+    (impaired_spec, IMPAIRED_RESULT, IMPAIRED_SHAPE_PATH, IMPAIRED_SHAPE_FILE),
+]
 
-def reference_entry(spec, result) -> bytes:
-    """The entry bytes as the cache has always written them."""
-    payload = {
-        "outcome": result.outcome,
-        "succeeded": result.succeeded,
-        "censored": result.censored,
-        "detail": result.detail,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    entry = {
-        "spec": spec.canonical_key(),
-        "result": payload,
-        "result_sha": hashlib.sha256(canonical.encode("utf-8")).hexdigest(),
-    }
-    return json.dumps(entry, sort_keys=True).encode("utf-8")
+#: JSON that parses, but not to an object.
+NON_OBJECTS = ["null", "[1, 2]", "7", '"x"']
 
 
 class TestPinnedKeys:
@@ -144,12 +163,18 @@ class TestPinnedKeys:
 
 
 class TestPinnedEntryBytes:
-    @pytest.mark.parametrize("make, result, body", PINNED_ENTRIES)
-    def test_store_writes_the_pinned_bytes(self, tmp_path, make, result, body):
+    @pytest.mark.parametrize("make, result, path, body", PINNED_SHAPE_FILES)
+    def test_store_writes_the_pinned_bytes(self, tmp_path, make, result, path, body):
         spec = make()
         ResultCache(tmp_path).store(spec, result)
-        assert entry_path(tmp_path, spec).read_bytes() == body
-        assert body == reference_entry(spec, result)
+        written = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert [p.relative_to(tmp_path).as_posix() for p in written] == [path]
+        assert (tmp_path / path).read_bytes() == body
+        assert body == reference_shape_file(spec, [(spec.seed, result)])
+
+    @pytest.mark.parametrize("make, result, body", PINNED_ENTRIES)
+    def test_earlier_entry_bytes_are_the_reference(self, make, result, body):
+        assert body == reference_entry(make(), result)
 
     @pytest.mark.parametrize("make, result, body", PINNED_ENTRIES)
     def test_earlier_entry_is_served(self, tmp_path, make, result, body):
@@ -166,7 +191,8 @@ class TestPinnedEntryBytes:
         assert cache.stats.hits == 1
         assert cache.stats.poisoned == 0
 
-    def test_entry_over_64_kib_round_trips(self, tmp_path):
+    @pytest.mark.parametrize("layout", ["shape", "entry"])
+    def test_entry_over_64_kib_round_trips(self, tmp_path, layout):
         spec = plain_spec()
         detail = "".join(f"packet {i} é\n" for i in range(8000))
         assert len(detail) > 64 * 1024
@@ -174,23 +200,35 @@ class TestPinnedEntryBytes:
             outcome="evaded", succeeded=True, censored=False, detail=detail,
             trace=None,
         )
-        ResultCache(tmp_path).store(spec, result)
-        body = entry_path(tmp_path, spec).read_bytes()
-        assert len(body) > 64 * 1024
-        assert body == reference_entry(spec, result)
+        if layout == "shape":
+            ResultCache(tmp_path).store(spec, result)
+            [path] = shape_files(tmp_path, spec)
+            assert path.read_bytes() == reference_shape_file(spec, [(spec.seed, result)])
+        else:
+            path = write_entry(tmp_path, spec, reference_entry(spec, result))
+        assert path.stat().st_size > 64 * 1024
         fresh = ResultCache(tmp_path)
         hit = fresh.lookup(spec)
         assert hit is not None and hit.detail == detail
         assert fresh.stats.poisoned == 0
 
 
+def _served_fresh(directory, spec, result):
+    """A fresh cache on ``directory`` serves ``result`` for ``spec``."""
+    fresh = ResultCache(directory)
+    hit = fresh.lookup(spec)
+    assert hit is not None
+    assert (hit.outcome, hit.succeeded, hit.censored, hit.detail) == (
+        result.outcome, result.succeeded, result.censored, result.detail,
+    )
+    assert fresh.stats.poisoned == 0
+
+
 class TestNonObjectEntries:
-    @pytest.mark.parametrize("body", ["null", "[1, 2]", "7", '"x"'])
+    @pytest.mark.parametrize("body", NON_OBJECTS)
     def test_non_object_entry_is_poisoned_and_rerun(self, tmp_path, body):
         spec = TrialSpec.build("china", "http", STRATEGY_1, seed=11)
-        path = entry_path(tmp_path, spec)
-        path.parent.mkdir(parents=True)
-        path.write_text(body)
+        write_entry(tmp_path, spec, body)
 
         fresh = ResultCache(tmp_path)
         assert fresh.lookup(spec) is None
@@ -200,7 +238,23 @@ class TestNonObjectEntries:
         [result] = executor.run_batch([spec])
         assert executor.last_stats.executed == 1
         assert executor.cache.stats.poisoned == 1
-        assert path.read_bytes() == reference_entry(spec, result)
+        _served_fresh(tmp_path, spec, result)
+
+    @pytest.mark.parametrize("body", NON_OBJECTS)
+    def test_non_object_shape_file_is_poisoned_removed_and_rerun(self, tmp_path, body):
+        spec = TrialSpec.build("china", "http", STRATEGY_1, seed=11)
+        path = write_shape_file(tmp_path, spec, body)
+
+        fresh = ResultCache(tmp_path)
+        assert fresh.lookup(spec) is None
+        assert fresh.stats.poisoned == 1
+        assert not path.exists()
+
+        executor = TrialExecutor(cache=tmp_path)
+        [result] = executor.run_batch([spec])
+        assert executor.last_stats.executed == 1
+        assert executor.cache.stats.poisoned == 0
+        _served_fresh(tmp_path, spec, result)
 
 
 def _write_rounds(directory, rounds, seeds):

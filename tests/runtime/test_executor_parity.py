@@ -2,8 +2,11 @@
 
 Every spec carries its own derived seed, so the executor's mode (serial
 in-process, 4-worker pool, cached) must never change outcomes — for any
-``(country, protocol)`` the paper evaluates.
+``(country, protocol)`` the paper evaluates — nor the files a cached
+batch leaves on disk.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -79,6 +82,35 @@ class TestResultParity:
             "china", "http", strategy, trials=trials, seed=base, workers=1
         )
         assert rate == sum(legacy) / trials
+
+    def test_cache_tree_is_worker_count_independent(self, tmp_path):
+        specs = (
+            batch_specs("china", "http", 1, trials=8)
+            + batch_specs("iran", "https", 8, trials=8)
+            + batch_specs("kazakhstan", "http", 11, trials=8)
+        )
+        # Two workers re-chunk the 24 cold trials into pieces of
+        # 24 // (2 * 4) = 3, which splits every 8-trial shard.
+        assert len(specs) // (2 * 4) < 8
+        TrialExecutor(workers=1, cache=tmp_path / "serial").run_batch(specs)
+        with TrialExecutor(workers=2, cache=tmp_path / "pool") as pool:
+            pool.run_batch(specs)
+            assert pool.last_stats.workers == 2
+
+        def tree(root: Path):
+            return {
+                path.relative_to(root).as_posix(): path.read_bytes()
+                for path in sorted(root.rglob("*"))
+                if path.is_file()
+            }
+
+        serial_tree = tree(tmp_path / "serial")
+        assert len(serial_tree) == 3
+        assert tree(tmp_path / "pool") == serial_tree
+        rerun = TrialExecutor(workers=1, cache=tmp_path / "pool")
+        rerun.run_batch(specs)
+        assert rerun.last_stats.executed == 0
+        assert rerun.cache.stats.poisoned == 0
 
     def test_cached_parity(self, tmp_path):
         specs = batch_specs("china", "http", 1, trials=8)
