@@ -15,6 +15,21 @@ import pytest
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+#: Machine-dependent timing artifacts (the ``test_perf_*`` benchmarks).
+#: The directory is git-ignored, so a local run never rewrites the
+#: committed copies in ``results/``, which stay as recorded history.
+TIMINGS_DIR = RESULTS_DIR / "local"
+
+
+def _writer(directory: pathlib.Path):
+    def write(name: str, text: str) -> None:
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / name
+        path.write_text(text + "\n")
+        print(f"\n=== {name} ===\n{text}\n")
+
+    return write
+
 
 @pytest.fixture(scope="session")
 def artifact_dir() -> pathlib.Path:
@@ -26,10 +41,10 @@ def artifact_dir() -> pathlib.Path:
 @pytest.fixture
 def save_artifact(artifact_dir):
     """Write one regenerated artifact to disk (and echo to stdout)."""
+    return _writer(artifact_dir)
 
-    def write(name: str, text: str) -> None:
-        path = artifact_dir / name
-        path.write_text(text + "\n")
-        print(f"\n=== {name} ===\n{text}\n")
 
-    return write
+@pytest.fixture
+def save_timing():
+    """Write one machine-dependent timing artifact to ``results/local/``."""
+    return _writer(TIMINGS_DIR)

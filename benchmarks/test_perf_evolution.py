@@ -83,7 +83,7 @@ def test_perf_ga_batched(benchmark):
     assert result.generations_run > 0
 
 
-def test_evolution_speedup_artifact(save_artifact, tmp_path):
+def test_evolution_speedup_artifact(save_timing, tmp_path):
     cores = os.cpu_count() or 1
     workers = min(4, cores)
 
@@ -112,7 +112,7 @@ def test_evolution_speedup_artifact(save_artifact, tmp_path):
     warm_ratio = t_legacy / t_warm
     baseline = json.loads(EVOLUTION_BASELINE.read_text())
 
-    save_artifact(
+    save_timing(
         "evolution_speedup.txt",
         "\n".join(
             [

@@ -3,7 +3,8 @@
 The headline numbers for ``repro.runtime``: wall-clock speedup of a
 100-trial batch under a 4-worker pool versus the serial path, and the
 cost of a cache-warm rerun (which must execute nothing at all). The
-measured comparison is recorded in ``benchmarks/results/``.
+measured comparison is recorded in ``benchmarks/results/local/``
+(git-ignored: the figures are machine-dependent).
 
 Speedup assertions are honest about hardware: the parallel target
 (>= 2x with 4 workers) is only asserted when the machine actually has
@@ -53,7 +54,7 @@ def test_perf_batch_parallel_4_workers(benchmark):
         assert len(results) == TRIALS
 
 
-def test_executor_speedup_artifact(save_artifact, tmp_path):
+def test_executor_speedup_artifact(save_timing, tmp_path):
     specs = batch_specs()
     cores = os.cpu_count() or 1
 
@@ -80,7 +81,7 @@ def test_executor_speedup_artifact(save_artifact, tmp_path):
     parallel_speedup = t_serial / t_parallel
     cache_speedup = t_serial / t_warm
 
-    save_artifact(
+    save_timing(
         "executor_speedup.txt",
         "\n".join(
             [

@@ -1,7 +1,8 @@
 """Performance benchmark for fleet-mode serving.
 
 The headline number: flows/sec for a 1000-client mixed-country fleet in
-one shared world, recorded to ``benchmarks/results/fleet_throughput.txt``.
+one shared world, recorded to ``benchmarks/results/local/fleet_throughput.txt``
+(git-ignored: the figures are machine-dependent).
 
 The *gated* quantity follows the cold-path precedent: absolute flows/sec
 varies wildly across machines, so the regression gate compares the
@@ -51,7 +52,7 @@ def test_perf_fleet_1k_flows(benchmark):
     assert len(records) == CLIENTS
 
 
-def test_fleet_throughput_artifact(save_artifact):
+def test_fleet_throughput_artifact(save_timing):
     """Record flows/sec and gate the fleet-vs-trial overhead ratio."""
     spec = fleet_spec()
     run_fleet_world(spec)  # warm imports and memo caches
@@ -64,6 +65,8 @@ def test_fleet_throughput_artifact(save_artifact):
 
     # Dedicated-trial cost for the same flow plans (the classic
     # one-world-per-connection path with the same per-client engine).
+    # Built trace-free, so each trial pools its packets and records
+    # nothing, as fleet flows do in trace mode "none".
     plans = spec.flow_plans()[:TRIAL_SAMPLE]
 
     def run_dedicated():
@@ -75,6 +78,7 @@ def test_fleet_throughput_artifact(save_artifact):
                 seed=plan.seed,
                 client_ip=plan.client_ip,
                 client_os=plan.client_os,
+                capture_trace=False,
             )
             install_per_client(
                 trial.server_host,
@@ -93,7 +97,7 @@ def test_fleet_throughput_artifact(save_artifact):
     baseline = json.loads(FLEET_BASELINE.read_text())
 
     evaded = sum(1 for r in records if r["succeeded"])
-    save_artifact(
+    save_timing(
         "fleet_throughput.txt",
         "\n".join(
             [

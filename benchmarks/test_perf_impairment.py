@@ -7,7 +7,7 @@ Two costs matter:
   work). Asserted with a generous 15% tolerance against timer noise.
 - **Bounded when on.** Impairment adds RNG draws per hop plus the TCP
   retransmissions it provokes; the measured overhead is recorded in
-  ``benchmarks/results/`` alongside the robustness curves it buys.
+  ``benchmarks/results/local/`` (git-ignored; machine-dependent).
 """
 
 import time
@@ -59,7 +59,7 @@ def test_perf_batch_impaired(benchmark):
     assert len(results) == TRIALS
 
 
-def test_impairment_overhead_artifact(save_artifact):
+def test_impairment_overhead_artifact(save_timing):
     executor = TrialExecutor(workers=1)
 
     bare = batch_specs()
@@ -99,4 +99,4 @@ def test_impairment_overhead_artifact(save_artifact):
         row = "".join(f"{curve[rate]:>7.2f}" for rate in DEFAULT_LOSS_GRID)
         lines.append(f"  {country:<13}{row}")
 
-    save_artifact("perf_impairment.txt", "\n".join(lines))
+    save_timing("perf_impairment.txt", "\n".join(lines))

@@ -18,6 +18,13 @@ Implements the paper's refined model of the GFW's per-flow machinery:
   TCB-teardown channel — which is why §3's client-side strategies worked
   from the client but their server-side analogs do not);
 - boxes never fail closed: flows without a TCB are ignored.
+
+A box's per-packet work is three steps — :meth:`ProtocolBox.open_flow`
+on a client SYN, else :meth:`~ProtocolBox.client_step` or
+:meth:`~ProtocolBox.server_step` on a live TCB — that take the packet
+already decoded. The GFW decodes each packet once and hands it to all
+five boxes; :meth:`ProtocolBox.observe` decodes it for one standalone
+box and runs the same steps.
 """
 
 from __future__ import annotations
@@ -25,10 +32,9 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Optional, Tuple
 
-from ...netsim import PathContext
+from ...netsim import DIRECTION_C2S, PathContext
 from ...obs.metrics import Counter
-from ...packets import Packet
-from ...tcpstack.endpoint import seq_delta
+from ...packets import TCP, Packet
 from ..base import Censor, FlowKey, flow_key
 from ..keywords import KeywordSet
 from .profiles import (
@@ -72,15 +78,28 @@ Matcher = Callable[[bytes, KeywordSet], Optional[bool]]
 
 
 class FlowTCB:
-    """Per-flow transmission control block inside one censorship box."""
+    """Per-flow transmission control block inside one censorship box.
 
-    def __init__(self, packet: Packet, miss: bool, can_reassemble: bool) -> None:
-        self.client_ip = packet.src
-        self.client_port = packet.sport
-        self.server_ip = packet.dst
-        self.server_port = packet.dport
-        self.client_isn = packet.tcp.seq
-        self.client_next = (packet.tcp.seq + 1) % _MOD
+    Built from the decoded client SYN: the client's address, port and
+    initial sequence number, and the server's address and port.
+    """
+
+    def __init__(
+        self,
+        client_ip: str,
+        client_port: int,
+        server_ip: str,
+        server_port: int,
+        isn: int,
+        miss: bool,
+        can_reassemble: bool,
+    ) -> None:
+        self.client_ip = client_ip
+        self.client_port = client_port
+        self.server_ip = server_ip
+        self.server_port = server_port
+        self.client_isn = isn
+        self.client_next = (isn + 1) % _MOD
         self.server_next = 0
         self.mode = MODE_TRACKING
         self.resync_target = ""
@@ -91,13 +110,12 @@ class FlowTCB:
         self.buffer = bytearray()
         self.residual_kill = False
 
-    def from_client(self, packet: Packet) -> bool:
-        """Whether ``packet`` travels client-to-server for this flow."""
-        return packet.src == self.client_ip and packet.sport == self.client_port
-
 
 class ProtocolBox:
     """One of the GFW's per-protocol censorship engines.
+
+    Sequence numbers are compared modulo 2**32: ``(a - b) % 2**32 == 0``
+    is equality in sequence space.
 
     Attributes:
         profile: The box's calibrated quirk profile.
@@ -138,62 +156,116 @@ class ProtocolBox:
         ctx: PathContext,
         key: Optional[FlowKey] = None,
     ) -> None:
-        """Process one on-path packet (never drops; may inject).
+        """Process one on-path TCP packet (never drops; may inject).
 
-        ``key`` lets a multi-box censor compute the flow key once per
-        packet and share it; standalone callers may omit it.
+        Decodes the packet and runs the step the GFW runs for each of its
+        boxes. ``key`` is the packet's undirected flow key, computed here
+        when omitted.
         """
+        ip = packet.ip
+        tcp = packet.tcp
+        src = ip.src
+        sport = tcp.sport
         if key is None:
             key = flow_key(packet)
-        if direction == "c2s" and packet.tcp.is_syn:
-            self._create_tcb(key, packet, ctx)
+        flags = tcp.flags
+        if direction == DIRECTION_C2S and "S" in flags and "A" not in flags:
+            self.open_flow(key, src, sport, ip.dst, tcp.dport, tcp.seq, ctx)
             return
         tcb = self.flows.get(key)
-        if tcb is None:
+        if tcb is None or tcb.mode == MODE_IGNORED:
             return  # no TCB: the box fails open
-        if tcb.mode == MODE_IGNORED:
-            return
-        if tcb.from_client(packet):
-            self._observe_client(tcb, packet, ctx)
+        if src == tcb.client_ip and sport == tcb.client_port:
+            self.client_step(tcb, packet, tcp, flags, ctx)
         else:
-            self._observe_server(tcb, packet, ctx)
+            self.server_step(tcb, packet, tcp, flags, ctx)
 
-    def _create_tcb(self, key: FlowKey, packet: Packet, ctx: PathContext) -> None:
-        miss = self.rng.random() < self.profile.miss_prob
-        can_reassemble = not (self.rng.random() < self.profile.reassembly_fail_prob)
-        tcb = FlowTCB(packet, miss=miss, can_reassemble=can_reassemble)
-        expiry = self.residual.get((packet.dst, packet.dport))
+    def open_flow(
+        self,
+        key: FlowKey,
+        client_ip: str,
+        client_port: int,
+        server_ip: str,
+        server_port: int,
+        isn: int,
+        ctx: PathContext,
+    ) -> None:
+        """Create (or replace) the flow's TCB on a client SYN.
+
+        Draws the flow's DPI miss and reassembly failure from the box's
+        RNG, in that order, and evicts the oldest flows first when the
+        table is full.
+        """
+        rng = self.rng
+        profile = self.profile
+        miss = rng.random() < profile.miss_prob
+        can_reassemble = not (rng.random() < profile.reassembly_fail_prob)
+        tcb = FlowTCB(
+            client_ip, client_port, server_ip, server_port, isn, miss, can_reassemble
+        )
+        expiry = self.residual.get((server_ip, server_port))
         if expiry is not None and ctx.now < expiry:
             tcb.residual_kill = True
-        if self.max_flows is not None and key not in self.flows:
-            while len(self.flows) >= self.max_flows:
-                oldest = next(iter(self.flows))
-                del self.flows[oldest]
+        flows = self.flows
+        if self.max_flows is not None and key not in flows:
+            while len(flows) >= self.max_flows:
+                del flows[next(iter(flows))]
                 self.evictions += 1
-        self.flows[key] = tcb
+        flows[key] = tcb
 
     # ------------------------------------------------------------------
     # Server-direction processing (anomaly events, resync capture)
 
-    def _observe_server(self, tcb: FlowTCB, packet: Packet, ctx: PathContext) -> None:
-        tcp = packet.tcp
+    def server_step(
+        self, tcb: FlowTCB, packet: Packet, tcp: TCP, flags: str, ctx: PathContext
+    ) -> None:
+        """Process a server-to-client segment of a live flow.
+
+        ``tcp`` is ``packet``'s segment and ``flags`` its flag string.
+        """
+        synack = "S" in flags and "A" in flags
 
         # Resync capture on a server SYN+ACK (rule 1's first option): the
         # box trusts the SYN+ACK's ack number as the client's next sequence
         # number — Strategy 6 hands it a corrupted one.
         if (
-            tcb.mode == MODE_RESYNC
+            synack
+            and tcb.mode == MODE_RESYNC
             and tcb.resync_target == RESYNC_ON_SYNACK_OR_CLIENT_ACK
-            and tcp.is_synack
         ):
             tcb.client_next = tcp.ack
             tcb.server_next = (tcp.seq + 1) % _MOD
             tcb.mode = MODE_TRACKING
             return
 
-        event = self._classify_server_event(tcb, packet)
+        # Classify the handshake anomaly, if any.
+        load = tcp.load
+        event = None
+        if "R" in flags:
+            event = EVENT_RST
+        elif not tcb.in_handshake:
+            # Once the client has sent data, ordinary server responses are
+            # normal traffic, not handshake anomalies.
+            pass
+        elif synack:
+            if load:
+                event = EVENT_SYNACK_PAYLOAD
+            elif (tcp.ack - tcb.client_isn - 1) % _MOD:
+                event = EVENT_CORRUPT_ACK
+        elif "S" in flags:
+            event = EVENT_PAYLOAD_SYN if load else EVENT_SYN
+        elif load:
+            event = EVENT_PAYLOAD_OTHER
+
         if event is None:
-            self._track_server(tcb, packet)
+            # Ordinary server traffic: track the server's sequence number.
+            if synack:
+                tcb.server_next = (tcp.seq + 1) % _MOD
+                return
+            if load and (tcp.seq - tcb.server_next) % _MOD == 0:
+                tcb.server_next = (tcb.server_next + len(load)) % _MOD
+            if "F" in flags:
+                tcb.server_next = (tcb.server_next + 1) % _MOD
             return
         fired = self._draw(event, tcb)
         tcb.anomalies.append(event)
@@ -202,54 +274,38 @@ class ProtocolBox:
             tcb.resync_target = RESYNC_TARGETS[event]
             _RESYNC_EVENTS.inc(protocol=self.profile.protocol, event=event)
 
-    def _classify_server_event(self, tcb: FlowTCB, packet: Packet) -> Optional[str]:
-        tcp = packet.tcp
-        if tcp.is_rst:
-            return EVENT_RST
-        if not tcb.in_handshake:
-            # Once the client has sent data, ordinary server responses are
-            # normal traffic, not handshake anomalies.
-            return None
-        if tcp.is_synack:
-            if tcp.load:
-                return EVENT_SYNACK_PAYLOAD
-            expected_ack = (tcb.client_isn + 1) % _MOD
-            if seq_delta(tcp.ack, expected_ack) != 0:
-                return EVENT_CORRUPT_ACK
-            return None
-        if tcp.is_syn:
-            return EVENT_PAYLOAD_SYN if tcp.load else EVENT_SYN
-        if tcp.load:
-            return EVENT_PAYLOAD_OTHER
-        return None
-
     def _draw(self, event: str, tcb: FlowTCB) -> bool:
-        probs = [self.profile.event_probs.get(event, 0.0)]
-        probs.extend(
-            self.profile.combo_probs.get((prior, event), 0.0)
-            for prior in tcb.anomalies
-        )
-        return any(p > 0 and self.rng.random() < p for p in probs)
+        """Whether ``event`` puts the box into resync.
 
-    def _track_server(self, tcb: FlowTCB, packet: Packet) -> None:
-        tcp = packet.tcp
-        if tcp.is_synack:
-            tcb.server_next = (tcp.seq + 1) % _MOD
-            return
-        if tcp.load and seq_delta(tcp.seq, tcb.server_next) == 0:
-            tcb.server_next = (tcb.server_next + len(tcp.load)) % _MOD
-        if tcp.is_fin:
-            tcb.server_next = (tcb.server_next + 1) % _MOD
+        One draw per non-zero probability — the event's own, then each
+        combination with a prior anomaly — stopping at the first hit.
+        """
+        profile = self.profile
+        rng = self.rng
+        p = profile.event_probs.get(event, 0.0)
+        if p > 0 and rng.random() < p:
+            return True
+        combo_probs = profile.combo_probs
+        for prior in tcb.anomalies:
+            p = combo_probs.get((prior, event), 0.0)
+            if p > 0 and rng.random() < p:
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # Client-direction processing (resync capture, teardown, DPI)
 
-    def _observe_client(self, tcb: FlowTCB, packet: Packet, ctx: PathContext) -> None:
-        tcp = packet.tcp
+    def client_step(
+        self, tcb: FlowTCB, packet: Packet, tcp: TCP, flags: str, ctx: PathContext
+    ) -> None:
+        """Process a client-to-server segment of a live flow.
 
+        ``tcp`` is ``packet``'s segment and ``flags`` its flag string.
+        """
         if tcb.mode == MODE_RESYNC:
-            qualifies = tcb.resync_target == RESYNC_ON_CLIENT or (
-                tcb.resync_target == RESYNC_ON_SYNACK_OR_CLIENT_ACK and tcp.is_ack
+            target = tcb.resync_target
+            qualifies = target == RESYNC_ON_CLIENT or (
+                target == RESYNC_ON_SYNACK_OR_CLIENT_ACK and "A" in flags
             )
             if not qualifies:
                 return
@@ -259,37 +315,37 @@ class ProtocolBox:
             # induced RST (seq == the corrupted ack) desynchronizes it.
             tcb.client_next = tcp.seq
             tcb.mode = MODE_TRACKING
-            if tcp.is_rst:
+            if "R" in flags:
                 # The box synchronized onto this RST (Strategy 7's probe
                 # confirms this); it does not also treat it as a teardown.
                 return
             # Fall through: the capture packet itself is inspected below.
 
-        if tcp.is_rst:
-            if 0 <= seq_delta(tcp.seq, tcb.client_next) < _WINDOW:
+        if "R" in flags:
+            if (tcp.seq - tcb.client_next) % _MOD < _WINDOW:
                 # Valid client RST: the box deletes the TCB and ignores the
                 # flow from here on (the classic client-side teardown).
                 tcb.mode = MODE_IGNORED
             return
 
-        if tcb.residual_kill and tcp.is_ack:
-            self._censor(tcb, packet, ctx, reason="residual censorship")
-            return
-
-        if tcp.is_ack:
+        if "A" in flags:
+            if tcb.residual_kill:
+                self._censor(tcb, packet, ctx, reason="residual censorship")
+                return
             # A client packet with ACK set completes the handshake from the
             # box's perspective; later server payloads are normal traffic.
             tcb.in_handshake = False
-        if not tcp.load:
+        load = tcp.load
+        if not load:
             return
-        if seq_delta(tcp.seq, tcb.client_next) != 0:
+        if (tcp.seq - tcb.client_next) % _MOD:
             return  # strict sequence matching: desynced data is invisible
-        tcb.client_next = (tcb.client_next + len(tcp.load)) % _MOD
+        tcb.client_next = (tcb.client_next + len(load)) % _MOD
         if tcb.can_reassemble:
-            tcb.buffer.extend(tcp.load)
+            tcb.buffer.extend(load)
             verdict = self.matcher(bytes(tcb.buffer), self.keywords)
         else:
-            verdict = self.matcher(bytes(tcp.load), self.keywords)
+            verdict = self.matcher(bytes(load), self.keywords)
         if verdict is True and not tcb.miss:
             self._censor(tcb, packet, ctx, reason=f"{self.profile.protocol} keyword")
 

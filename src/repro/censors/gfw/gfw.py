@@ -14,12 +14,12 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional
 
-from ...netsim import PathContext
+from ...netsim import DIRECTION_C2S, PathContext
 from ...packets import Packet
-from ..base import Censor, flow_key
+from ..base import Censor
 from ..dpi import match_dns, match_ftp, match_http, match_https, match_smtp
 from ..keywords import CHINA_KEYWORDS, KeywordSet
-from .box import ProtocolBox
+from .box import MODE_IGNORED, ProtocolBox
 from .dnsudp import DNSUDPInjector
 from .profiles import CHINA_PROFILES, BoxProfile
 
@@ -80,17 +80,43 @@ class GreatFirewall(Censor):
         self.dns_udp = DNSUDPInjector(keywords, censor=self, rng=rng)
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
-        """All boxes observe every packet; the GFW always forwards (on-path)."""
+        """All boxes observe every packet; the GFW always forwards (on-path).
+
+        The packet is decoded once — addresses, ports, flow key and flag
+        string — and each box runs its step on the decoded segment, in
+        profile order: every box opens a TCB on a client SYN; otherwise
+        each box holding a live TCB for the flow takes a client or server
+        step, by its own TCB's notion of which end is the client.
+        """
         if self.validate_checksums and not packet.checksums_ok():
             return [packet]  # ablation: corrupted packets never inspected
-        if packet.is_udp:
+        tcp = packet.tcp
+        if tcp is None:
             self.dns_udp.observe(packet, direction, ctx)
             return [packet]
-        # Compute the flow key once and hand it to all five boxes — they
-        # would each derive the identical key from the same packet.
-        key = flow_key(packet)
+        ip = packet.ip
+        src = ip.src
+        dst = ip.dst
+        sport = tcp.sport
+        dport = tcp.dport
+        if (src, sport) <= (dst, dport):  # flow_key's canonical order
+            key = (src, sport, dst, dport)
+        else:
+            key = (dst, dport, src, sport)
+        flags = tcp.flags
+        if direction == DIRECTION_C2S and "S" in flags and "A" not in flags:
+            seq = tcp.seq
+            for box in self.boxes.values():
+                box.open_flow(key, src, sport, dst, dport, seq, ctx)
+            return [packet]
         for box in self.boxes.values():
-            box.observe(packet, direction, ctx, key)
+            tcb = box.flows.get(key)
+            if tcb is None or tcb.mode == MODE_IGNORED:
+                continue  # no TCB: the box fails open
+            if src == tcb.client_ip and sport == tcb.client_port:
+                box.client_step(tcb, packet, tcp, flags, ctx)
+            else:
+                box.server_step(tcb, packet, tcp, flags, ctx)
         return [packet]
 
     def box(self, protocol: str) -> ProtocolBox:

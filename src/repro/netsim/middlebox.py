@@ -95,8 +95,10 @@ class TransparentTap(Middlebox):
         self.seen: List[Packet] = []
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> Iterable[Packet]:
+        """Record a copy of ``packet`` and forward it unchanged."""
         self.seen.append(packet.copy())
         return [packet]
 
     def reset(self) -> None:
+        """Forget the recorded packets."""
         self.seen.clear()

@@ -175,27 +175,26 @@ class Network:
     # Path walking
 
     def _schedule_hop(self, packet: Packet, direction: str, index: int, ttl: int) -> None:
+        """Schedule ``packet``'s arrival at middlebox ``index`` (or an end).
+
+        An unimpaired path with coalescing on crosses the whole run of
+        inert hops from ``index`` with one ``schedule_at`` call, replaying
+        the per-hop walk exactly: the arrival time is built by the same
+        iterated ``now + hop_delay`` float additions the per-hop recursion
+        would perform (timestamps are digest material), TTL is decremented
+        once per skipped link, and an expiry *inside* the skipped run
+        becomes a drop event at the hop where the per-hop walk would have
+        recorded it. Otherwise each link is its own event.
+        """
         imp = self.impairment
-        if imp is None or not imp.applies(direction):
-            if self._coalesce:
-                self._schedule_coalesced(packet, direction, index, ttl)
-                return
+        if imp is not None and imp.applies(direction):
+            self._schedule_impaired_hop(imp, packet, direction, index, ttl)
+            return
+        if not self._coalesce:
             self.scheduler.schedule(
                 self.hop_delay, lambda: self._hop(packet, direction, index, ttl)
             )
             return
-        self._schedule_impaired_hop(imp, packet, direction, index, ttl)
-
-    def _schedule_coalesced(self, packet: Packet, direction: str, index: int, ttl: int) -> None:
-        """Schedule one event covering the run of inert hops from ``index``.
-
-        Replays the per-hop walk exactly: the arrival time is built by the
-        same iterated ``now + hop_delay`` float additions the per-hop
-        recursion would perform (timestamps are digest material), TTL is
-        decremented once per skipped link, and an expiry *inside* the
-        skipped run becomes a drop event at the hop where the per-hop
-        walk would have recorded it.
-        """
         n = len(self.middleboxes)
         if len(self._next_c2s) != n + 1:  # chain mutated post-construction
             self._build_skip_tables()
@@ -215,14 +214,15 @@ class Network:
                 target = -2
             else:
                 steps = index - target + 1
-        when = self.scheduler.now
+        scheduler = self.scheduler
+        when = scheduler.now
         delay = self.hop_delay
         for _ in range(steps):
             when += delay
         if target == -2:
-            self.scheduler.schedule_at(when, self._drop_expired, (packet, label))
+            scheduler.schedule_at(when, self._drop_expired, (packet, label))
         else:
-            self.scheduler.schedule_at(
+            scheduler.schedule_at(
                 when, self._hop, (packet, direction, target, ttl - (steps - 1))
             )
 
@@ -275,10 +275,16 @@ class Network:
         self.scheduler.schedule(delay, lambda: self._hop(packet, direction, index, ttl))
 
     def _hop(self, packet: Packet, direction: str, index: int, ttl: int) -> None:
-        past_chain = index >= len(self.middleboxes) if direction == DIRECTION_C2S else index < 0
-        if past_chain:
-            self._deliver(packet, direction, ttl)
-            return
+        if direction == DIRECTION_C2S:
+            if index >= len(self.middleboxes):
+                self._deliver(packet, direction, ttl)
+                return
+            next_index = index + 1
+        else:
+            if index < 0:
+                self._deliver(packet, direction, ttl)
+                return
+            next_index = index - 1
         if ttl < 1:
             _PKT_DROP.inc()
             self.trace.record(
@@ -293,7 +299,6 @@ class Network:
             _spans.add(self._box_spans[index], time.perf_counter() - t0)
         else:
             forwarded = list(box.process(packet, direction, ctx))
-        next_index = index + 1 if direction == DIRECTION_C2S else index - 1
         if not forwarded:
             _PKT_DROP.inc()
             self.trace.record(self.scheduler.now, "drop", ctx.name, packet, "dropped in-path")

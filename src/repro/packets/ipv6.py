@@ -162,6 +162,7 @@ class IPv6:
 
     @ttl.setter
     def ttl(self, value: int) -> None:
+        """Set :attr:`hop_limit` (masked to 8 bits)."""
         self.hop_limit = value & 0xFF
 
     @property

@@ -110,13 +110,20 @@ class Packet:
         return (self.dst, self.dport, self.src, self.sport)
 
     def checksums_ok(self) -> bool:
-        """Whether both IP and TCP checksums would be valid on the wire."""
-        if self.ip.chksum_override is not None:
-            raw = self.serialize()
-            header_len = self.ip.header_length()
-            if not self.ip.checksum_ok(raw[:header_len]):
-                return False
-        return self.transport.checksum_ok(self.src, self.dst)
+        """Whether both IP and TCP checksums would be valid on the wire.
+
+        Checksums are computed at serialization, so only a planted value
+        (a ``chksum_override``) can be wrong: with none on either layer
+        the answer is ``True`` without serializing anything.
+        """
+        ip = self.ip
+        transport = self.tcp if self.tcp is not None else self.udp
+        if ip.chksum_override is None:
+            if transport.chksum_override is None:
+                return True
+        elif not ip.checksum_ok(self.serialize()[: ip.header_length()]):
+            return False
+        return transport.checksum_ok(ip.src, ip.dst)
 
     # ------------------------------------------------------------------
     # Geneva field interface
@@ -159,8 +166,8 @@ class Packet:
         For flags, ``TCP:flags:SA`` matches only packets whose flag set is
         exactly ``{S, A}`` — Geneva triggers demand an exact match.
         """
-        current = self.get_field(protocol, field)
-        _, spec = self._field_spec(protocol, field)
+        layer, spec = self._field_spec(protocol, field)
+        current = spec.get(layer)
         if spec.kind == "flags":
             return set(current) == set(value.upper())
         if spec.kind == "int":

@@ -21,7 +21,7 @@ import random
 from typing import Callable, Dict, Optional
 
 from ..obs.metrics import Counter
-from ..packets import Packet, make_tcp_packet
+from ..packets import TCP, Packet, make_tcp_packet
 from . import states
 from .personality import OSPersonality
 
@@ -62,7 +62,11 @@ MAX_RETRANSMITS = 4
 
 
 def seq_delta(a: int, b: int) -> int:
-    """Signed difference ``a - b`` in 32-bit sequence space."""
+    """Signed difference ``a - b`` in 32-bit sequence space.
+
+    Equality needs no call: ``seq_delta(a, b) == 0`` is
+    ``(a - b) % 2**32 == 0``, which the segment handlers write inline.
+    """
     return ((a - b + (_MOD >> 1)) % _MOD) - (_MOD >> 1)
 
 
@@ -204,13 +208,18 @@ class TCPEndpoint:
     # Segment processing
 
     def handle_segment(self, packet: Packet) -> None:
-        """Process an incoming segment according to the current state."""
-        if self.state == states.CLOSED:
+        """Process an incoming segment according to the current state.
+
+        Each state handler reads the segment's flag string once and tests
+        its letters directly.
+        """
+        state = self.state
+        if state == states.CLOSED:
             return
-        if self.state == states.SYN_SENT:
+        if state == states.SYN_SENT:
             self._handle_syn_sent(packet)
             return
-        if self.state == states.SYN_RCVD:
+        if state == states.SYN_RCVD:
             self._handle_syn_rcvd(packet)
             return
         self._handle_synchronized(packet)
@@ -219,10 +228,12 @@ class TCPEndpoint:
 
     def _handle_syn_sent(self, packet: Packet) -> None:
         tcp = packet.tcp
-        acceptable_ack = tcp.is_ack and seq_delta(tcp.ack, self.snd_nxt) == 0
+        flags = tcp.flags
+        has_ack = "A" in flags
+        acceptable_ack = has_ack and (tcp.ack - self.snd_nxt) % _MOD == 0
 
-        if tcp.is_rst:
-            if not tcp.is_ack:
+        if "R" in flags:
+            if not has_ack:
                 # RFC 793 would tear the connection down, but every modern
                 # OS the paper tested ignores a RST without ACK here.
                 if self.personality.ignores_rst_without_ack_in_synsent:
@@ -233,7 +244,10 @@ class TCPEndpoint:
                 self._reset()
             return
 
-        if tcp.is_synack:
+        if "S" not in flags:
+            return  # anything without SYN or RST is dropped (RFC 793)
+
+        if has_ack:  # SYN+ACK
             if not acceptable_ack:
                 # Induced RST: answer with RST seq=SEG.ACK, stay in SYN_SENT.
                 if self.personality.rst_on_bad_synack_ack:
@@ -247,20 +261,16 @@ class TCPEndpoint:
             self._flush()
             return
 
-        if tcp.is_syn:
-            # Simultaneous open: reply with SYN+ACK whose sequence number
-            # is still ISS (not incremented) — the detail the GFW's
-            # resynchronization state mishandles.
-            if not self.personality.supports_simultaneous_open:
-                return
-            self.simultaneous_open_used = True
-            self._learn_peer_isn(packet)
-            self.state = states.SYN_RCVD
-            self._send_synack()
-            self._arm_retransmit()
+        # Simultaneous open: reply with SYN+ACK whose sequence number is
+        # still ISS (not incremented) — the detail the GFW's
+        # resynchronization state mishandles.
+        if not self.personality.supports_simultaneous_open:
             return
-
-        # Anything without SYN or RST is dropped in SYN_SENT (RFC 793).
+        self.simultaneous_open_used = True
+        self._learn_peer_isn(packet)
+        self.state = states.SYN_RCVD
+        self._send_synack()
+        self._arm_retransmit()
 
     def _learn_peer_isn(self, packet: Packet) -> None:
         self.irs = packet.tcp.seq
@@ -285,24 +295,24 @@ class TCPEndpoint:
 
     def _handle_syn_rcvd(self, packet: Packet) -> None:
         tcp = packet.tcp
+        flags = tcp.flags
 
-        if tcp.is_rst:
+        if "R" in flags:
             if self._rst_acceptable(tcp.seq):
                 self._reset()
             return
 
-        if tcp.is_syn and not tcp.is_ack:
-            # Duplicate of the SYN we already answered (or a payload-bearing
-            # copy, as in Strategy 2): acknowledge the current sequence.
-            # A migrating endpoint stays dark — the old socket is gone.
-            if seq_delta(tcp.seq, self.irs) == 0 and not self._migrating:
-                self._send_ack()
+        if "A" not in flags:
+            if "S" in flags:
+                # Duplicate of the SYN we already answered (or a
+                # payload-bearing copy, as in Strategy 2): acknowledge the
+                # current sequence. A migrating endpoint stays dark — the
+                # old socket is gone.
+                if (tcp.seq - self.irs) % _MOD == 0 and not self._migrating:
+                    self._send_ack()
             return
 
-        if not tcp.is_ack:
-            return
-
-        if seq_delta(tcp.ack, self.snd_nxt) != 0:
+        if (tcp.ack - self.snd_nxt) % _MOD:
             # Unacceptable ACK in SYN_RCVD elicits a RST (RFC 793).
             self._emit("R", seq=tcp.ack, ack=0)
             return
@@ -310,61 +320,62 @@ class TCPEndpoint:
         self.snd_una = self.snd_nxt
         self.snd_wnd = tcp.window
         self._enter_established()
-        if tcp.has_flag("S"):
+        if "S" in flags:
             # Peer's simultaneous-open SYN+ACK: acknowledge it so the peer
             # can finish its handshake.
             self._send_ack()
-        if tcp.load or tcp.is_fin:
-            self._process_data(packet)
+        if tcp.load or "F" in flags:
+            self._process_data(tcp, flags)
         self._flush()
 
     # -- Synchronized states -------------------------------------------
 
     def _handle_synchronized(self, packet: Packet) -> None:
         tcp = packet.tcp
+        flags = tcp.flags
 
-        if tcp.is_rst:
+        if "R" in flags:
             if self._rst_acceptable(tcp.seq):
                 self._reset()
             return
 
-        if tcp.has_flag("S"):
+        if "S" in flags:
             # Duplicate SYN (or SYN+ACK retransmission) in a synchronized
             # state: challenge ACK, and never deliver its payload.
             self._send_ack()
             return
 
-        if not tcp.is_ack:
+        if "A" not in flags:
             # Null-flag and FIN-only segments carry no ACK and are dropped
             # (Strategies 6 and 11 rely on censors not knowing this).
             return
 
         self._process_ack(tcp.ack, tcp.window)
-        if tcp.load or tcp.is_fin:
-            self._process_data(packet)
+        if tcp.load or "F" in flags:
+            self._process_data(tcp, flags)
 
     def _process_ack(self, ack: int, window: int) -> None:
         if seq_delta(ack, self.snd_una) > 0 and seq_delta(ack, self.snd_nxt) <= 0:
             self.snd_una = ack
             self._retx_count = 0
-            if self._fin_sent and seq_delta(self.snd_una, self.snd_nxt) == 0:
+            all_acked = (ack - self.snd_nxt) % _MOD == 0
+            if self._fin_sent and all_acked:
                 if self.state == states.FIN_WAIT_1:
                     self.state = states.FIN_WAIT_2
                 elif self.state == states.LAST_ACK:
                     self._teardown()
                     return
-            if seq_delta(self.snd_una, self.snd_nxt) == 0:
+            if all_acked:
                 self._cancel_retransmit()
             else:
                 self._arm_retransmit()
         self.snd_wnd = window
         self._flush()
 
-    def _process_data(self, packet: Packet) -> None:
-        tcp = packet.tcp
+    def _process_data(self, tcp: TCP, flags: str) -> None:
         seq = tcp.seq
         data = tcp.load
-        fin = tcp.is_fin
+        fin = "F" in flags
 
         if data:
             offset = seq_delta(self.rcv_nxt, seq)
@@ -389,7 +400,7 @@ class TCPEndpoint:
         fin_in_order = False
         if fin:
             expected_fin_seq = (seq + len(tcp.load)) % _MOD
-            fin_in_order = seq_delta(expected_fin_seq, self.rcv_nxt) == 0
+            fin_in_order = (expected_fin_seq - self.rcv_nxt) % _MOD == 0
             if fin_in_order:
                 self.rcv_nxt = (self.rcv_nxt + 1) % _MOD
                 if self.state == states.ESTABLISHED:
@@ -529,7 +540,7 @@ class TCPEndpoint:
             return
         nothing_outstanding = (
             self.state in (states.ESTABLISHED, states.CLOSE_WAIT)
-            and seq_delta(self.snd_nxt, self.snd_una) == 0
+            and (self.snd_nxt - self.snd_una) % _MOD == 0
         )
         if nothing_outstanding:
             return

@@ -195,18 +195,22 @@ class Host:
             self._demux(item)
 
     def _demux(self, packet: Packet) -> None:
-        if packet.is_udp:
-            handler = self._udp_binds.get(packet.dport)
+        tcp = packet.tcp
+        if tcp is None:
+            handler = self._udp_binds.get(packet.udp.dport)
             if handler is not None:
                 handler(packet)
             return
-        key = (packet.src, packet.sport, packet.dport)
+        src = packet.ip.src
+        sport = tcp.sport
+        dport = tcp.dport
+        key = (src, sport, dport)
         endpoint = self._endpoints.get(key)
         if endpoint is not None:
             endpoint.handle_segment(packet)
             return
-        listener = self._listeners.get(packet.dport)
-        if listener is not None and packet.tcp.is_syn:
+        listener = self._listeners.get(dport)
+        if listener is not None and tcp.is_syn:
             rng = (
                 self.flow_rng_provider(key)
                 if self.flow_rng_provider is not None
@@ -214,9 +218,9 @@ class Host:
             )
             endpoint = TCPEndpoint(
                 host=self,
-                local_port=packet.dport,
-                remote_ip=packet.src,
-                remote_port=packet.sport,
+                local_port=dport,
+                remote_ip=src,
+                remote_port=sport,
                 personality=self.personality,
                 rng=rng,
             )

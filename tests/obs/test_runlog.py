@@ -103,10 +103,11 @@ class TestFlightRecorder:
         """A censor blowing up mid-trial flight-dumps the trace tail."""
         from repro.censors.gfw.box import ProtocolBox
 
-        def explode(self, packet, direction, ctx, key=None):
+        def explode(self, *args):
             raise RuntimeError("censor crashed")
 
-        monkeypatch.setattr(ProtocolBox, "observe", explode)
+        # The GFW runs each box's client-SYN step on the trial's first packet.
+        monkeypatch.setattr(ProtocolBox, "open_flow", explode)
         log = RunLog()
         spec = TrialSpec.build("china", "http", seed=1)
         with activate(log):
@@ -123,10 +124,10 @@ class TestFlightRecorder:
     def test_no_dump_without_active_runlog(self, monkeypatch):
         from repro.censors.gfw.box import ProtocolBox
 
-        def explode(self, packet, direction, ctx, key=None):
+        def explode(self, *args):
             raise RuntimeError("censor crashed")
 
-        monkeypatch.setattr(ProtocolBox, "observe", explode)
+        monkeypatch.setattr(ProtocolBox, "open_flow", explode)
         assert active_runlog() is None
         with pytest.raises(RuntimeError):
             TrialSpec.build("china", "http", seed=1).run()

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.packets import Packet, make_tcp_packet
+from repro.packets import Packet, make_tcp_packet, make_udp_packet
 
 
 @pytest.fixture
@@ -96,6 +96,52 @@ class TestFieldInterface:
             packet.get_field("TCP", "nonsense")
         with pytest.raises(ValueError):
             packet.get_field("UDP", "sport")
+
+
+def build(family, transport):
+    """A packet of the given IP family ("v4"/"v6") and transport ("tcp"/"udp")."""
+    src, dst = ("10.0.0.1", "10.0.0.2") if family == "v4" else ("2001:db8::1", "2001:db8::2")
+    if transport == "tcp":
+        return make_tcp_packet(src, dst, 4000, 80, flags="PA", seq=7, ack=9, load=b"hi")
+    return make_udp_packet(src, dst, 5353, 53, load=b"hi")
+
+
+FAMILIES_AND_TRANSPORTS = [
+    ("v4", "tcp"),
+    ("v4", "udp"),
+    ("v6", "tcp"),
+    ("v6", "udp"),
+]
+
+
+class TestChecksumsOk:
+    """``checksums_ok`` over IPv4/IPv6 x TCP/UDP, with and without planted
+    checksums. With nothing planted the answer is ``True`` without a
+    serialization; a planted value is checked against the true one."""
+
+    @pytest.mark.parametrize("family,transport", FAMILIES_AND_TRANSPORTS)
+    def test_nothing_planted_is_valid(self, family, transport):
+        assert build(family, transport).checksums_ok()
+
+    @pytest.mark.parametrize("family,transport", FAMILIES_AND_TRANSPORTS)
+    def test_planted_transport_checksum_is_invalid(self, family, transport):
+        packet = build(family, transport)
+        layer = packet.transport
+        wire = layer.serialize(packet.src, packet.dst)
+        offset = 16 if transport == "tcp" else 6
+        true = int.from_bytes(wire[offset : offset + 2], "big")
+        layer.chksum_override = true ^ 0x5555
+        assert not packet.checksums_ok()
+
+    @pytest.mark.parametrize("transport", ["tcp", "udp"])
+    def test_planted_ipv4_header_checksum(self, transport):
+        packet = build("v4", transport)
+        true = int.from_bytes(packet.serialize()[10:12], "big")
+        packet.ip.chksum_override = true ^ 0x5555
+        assert not packet.checksums_ok()
+        # A planted value equal to the true one is still a valid header.
+        packet.ip.chksum_override = true
+        assert packet.checksums_ok()
 
 
 class TestTriggerMatching:

@@ -27,10 +27,10 @@ def test_campaign_and_obs_trees_are_fully_documented():
             REPO / "src" / "repro" / "runtime",
             REPO / "src" / "repro" / "eval",
             REPO / "src" / "repro" / "core" / "evolution",
-            REPO / "src" / "repro" / "netsim" / "flows.py",
             REPO / "src" / "repro" / "deploy" / "selector.py",
-            REPO / "src" / "repro" / "netsim" / "network.py",
-            REPO / "src" / "repro" / "packets" / "pool.py",
+            REPO / "src" / "repro" / "netsim",
+            REPO / "src" / "repro" / "packets",
+            REPO / "src" / "repro" / "tcpstack",
         ]
     )
     assert violations == [], "\n".join(
