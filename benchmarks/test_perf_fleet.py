@@ -10,12 +10,16 @@ varies wildly across machines, so the regression gate compares the
 for the same flow plans, measured back-to-back in the same process —
 against the committed baseline in ``benchmarks/fleet_baseline.json``. A
 ratio blow-up means the shared-world machinery (flow-tagged scheduler,
-router, recycling) itself regressed, not the hardware.
+router, recycling) itself regressed, not the hardware. Both sides are
+timed in process CPU seconds, alternately, :data:`REPEATS` times each,
+and the gate divides their medians, so one slow moment of a shared host
+cannot decide it.
 """
 
 import json
 import os
 import pathlib
+import statistics
 import time
 
 from repro.deploy import install_per_client
@@ -27,6 +31,9 @@ CLIENTS = 1000
 #: Dedicated-trial sample size for the ratio denominator (the per-trial
 #: cost is flat, so a sample is representative at a fraction of the time).
 TRIAL_SAMPLE = 200
+
+#: Timings per side, taken alternately after one warm-up of each.
+REPEATS = 3
 
 #: Committed baseline (outside ``results/`` so regenerating artifacts
 #: cannot silently move the regression bar).
@@ -52,16 +59,16 @@ def test_perf_fleet_1k_flows(benchmark):
     assert len(records) == CLIENTS
 
 
+def _cpu_seconds(run):
+    """(process CPU seconds ``run()`` took, its return value)."""
+    start = time.process_time()
+    value = run()
+    return time.process_time() - start, value
+
+
 def test_fleet_throughput_artifact(save_timing):
     """Record flows/sec and gate the fleet-vs-trial overhead ratio."""
     spec = fleet_spec()
-    run_fleet_world(spec)  # warm imports and memo caches
-
-    start = time.perf_counter()
-    records = run_fleet_world(spec)
-    fleet_seconds = time.perf_counter() - start
-    ms_per_flow = fleet_seconds * 1000.0 / CLIENTS
-    flows_per_sec = CLIENTS / fleet_seconds
 
     # Dedicated-trial cost for the same flow plans (the classic
     # one-world-per-connection path with the same per-client engine).
@@ -88,13 +95,24 @@ def test_fleet_throughput_artifact(save_timing):
             )
             trial.run()
 
-    run_dedicated()  # warm
-    start = time.perf_counter()
+    run_fleet_world(spec)  # warm imports and memo caches
     run_dedicated()
-    ms_per_trial = (time.perf_counter() - start) * 1000.0 / TRIAL_SAMPLE
+    flow_ms: list = []
+    trial_ms: list = []
+    for _ in range(REPEATS):
+        seconds, records = _cpu_seconds(lambda: run_fleet_world(spec))
+        flow_ms.append(seconds * 1000.0 / CLIENTS)
+        seconds, _ = _cpu_seconds(run_dedicated)
+        trial_ms.append(seconds * 1000.0 / TRIAL_SAMPLE)
+    ms_per_flow = statistics.median(flow_ms)
+    ms_per_trial = statistics.median(trial_ms)
+    flows_per_sec = 1000.0 / ms_per_flow
 
     overhead_ratio = ms_per_flow / ms_per_trial
     baseline = json.loads(FLEET_BASELINE.read_text())
+
+    def series(values):
+        return ", ".join(f"{value:.3f}" for value in values)
 
     evaded = sum(1 for r in records if r["succeeded"])
     save_timing(
@@ -106,11 +124,15 @@ def test_fleet_throughput_artifact(save_timing):
                 f"machine: {os.cpu_count() or 1} core(s)",
                 "",
                 f"fleet world:      {ms_per_flow:6.3f} ms/flow "
-                f"({flows_per_sec:7.0f} flows/sec)",
+                f"({flows_per_sec:7.0f} flows/CPU-sec), median of "
+                f"{series(flow_ms)}",
                 f"dedicated trials: {ms_per_trial:6.3f} ms/trial "
-                f"(sample of {TRIAL_SAMPLE} plans, classic path)",
+                f"(sample of {TRIAL_SAMPLE} plans, classic path), median of "
+                f"{series(trial_ms)}",
                 "",
-                f"overhead ratio:   {overhead_ratio:.2f}x "
+                f"CPU ms, timed alternately {REPEATS} times per side "
+                "after one warm-up of each",
+                f"overhead ratio:   {overhead_ratio:.2f}x of the medians "
                 f"(committed baseline {baseline['overhead_ratio']:.2f}x, "
                 "gate: <= 1.25x of baseline)",
                 f"evaded: {evaded}/{CLIENTS} flows",

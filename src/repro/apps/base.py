@@ -153,6 +153,10 @@ class BaseServer:
     def __init__(self, host: Host, port: int) -> None:
         self.host = host
         self.port = port
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every accepted connection (the listener stays)."""
         self.connections: List[TCPEndpoint] = []
 
     def install(self) -> None:

@@ -15,7 +15,7 @@ import struct
 from typing import Callable, List, Optional
 
 from ..tcpstack import Host
-from .base import OUTCOME_GARBLED, OUTCOME_SUCCESS, BaseClient
+from .base import OUTCOME_GARBLED, OUTCOME_SUCCESS, BaseClient, BaseServer
 
 __all__ = [
     "DNSClient",
@@ -286,20 +286,12 @@ class DNSClient:
             self.on_complete(outcome)
 
 
-class DNSServer:
+class DNSServer(BaseServer):
     """Authoritative-for-everything DNS-over-TCP resolver."""
 
     protocol = "dns"
 
-    def __init__(self, host: Host, port: int = 53) -> None:
-        self.host = host
-        self.port = port
-
-    def install(self) -> None:
-        """Start listening."""
-        self.host.listen(self.port, self._accept)
-
-    def _accept(self, endpoint) -> None:
+    def _on_connection(self, endpoint) -> None:
         state = {"buffer": bytearray(), "answered": False}
 
         def on_data(data: bytes) -> None:

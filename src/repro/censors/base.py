@@ -59,11 +59,20 @@ class Censor(Middlebox):
 
     Attributes:
         censorship_events: Count of censorship actions taken this trial.
+
+    Per-run state is set in :meth:`reset` and nowhere else: ``__init__``
+    calls it once the configuration is in place, and a world that is
+    re-seeded for its next trial calls it again. A subclass with state
+    of its own extends :meth:`reset` and calls the base version.
     """
 
     name = "censor"
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Clear per-run state: zero the censorship-action count."""
         self.censorship_events = 0
 
     # ------------------------------------------------------------------

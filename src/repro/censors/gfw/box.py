@@ -142,6 +142,10 @@ class ProtocolBox:
         #: several shortcuts" (§2.1). When bounded, the oldest flow is
         #: evicted — which makes state-exhaustion an evasion vector.
         self.max_flows = max_flows
+        self.reset()
+
+    def reset(self) -> None:
+        """Drop every TCB and residual timer; zero the counters."""
         self.flows: Dict[FlowKey, FlowTCB] = {}
         self.residual: Dict[Tuple[str, int], float] = {}
         self.censor_count = 0

@@ -46,6 +46,10 @@ class DNSUDPInjector:
         self.rng = rng if rng is not None else random.Random(0)
         self.miss_prob = miss_prob
         self.lemon_address = lemon_address
+        self.reset()
+
+    def reset(self) -> None:
+        """Zero the injection count."""
         self.injections = 0
 
     def observe(self, packet: Packet, direction: str, ctx: PathContext) -> None:

@@ -60,7 +60,6 @@ class GreatFirewall(Censor):
         validate_checksums: bool = False,
         max_flows_per_box: Optional[int] = None,
     ) -> None:
-        super().__init__()
         self.validate_checksums = validate_checksums
         self.max_flows_per_box = max_flows_per_box
         rng = rng if rng is not None else random.Random(0)
@@ -78,6 +77,7 @@ class GreatFirewall(Censor):
             )
         #: Forged-response injection for DNS-over-UDP (§2.1 background).
         self.dns_udp = DNSUDPInjector(keywords, censor=self, rng=rng)
+        super().__init__()
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
         """All boxes observe every packet; the GFW always forwards (on-path).
@@ -124,9 +124,11 @@ class GreatFirewall(Censor):
         return self.boxes[protocol]
 
     def reset(self) -> None:
-        """Clear all per-flow state (keeps calibration and RNG stream)."""
+        """Clear every box's flows, residual timers and counters.
+
+        Calibration and the RNG stream stay.
+        """
+        super().reset()
         for box in self.boxes.values():
-            box.flows.clear()
-            box.residual.clear()
-            box.censor_count = 0
-        self.censorship_events = 0
+            box.reset()
+        self.dns_udp.reset()

@@ -56,7 +56,6 @@ class AirtelCensor(Censor):
         inspect_depth: Optional[int] = None,
         rst_count: int = 1,
     ) -> None:
-        super().__init__()
         self.keywords = keywords
         self.censored_ports = censored_ports
         # Adaptive knobs (repro.censors.adaptive): how many payload bytes
@@ -64,6 +63,7 @@ class AirtelCensor(Censor):
         # and how many follow-up RSTs ride behind the block page.
         self.inspect_depth = inspect_depth
         self.rst_count = rst_count
+        super().__init__()
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
         """Inject the block page on a forbidden port-80 request; always forward."""

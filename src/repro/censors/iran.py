@@ -48,7 +48,6 @@ class IranCensor(Censor):
         duration: float = BLACKHOLE_DURATION,
         inspect_depth: Optional[int] = None,
     ) -> None:
-        super().__init__()
         self.keywords = keywords
         self.http_ports = http_ports
         self.https_ports = https_ports
@@ -56,6 +55,11 @@ class IranCensor(Censor):
         # Adaptive knob (repro.censors.adaptive): payload bytes the DPI
         # examines per packet (None = unbounded, the calibrated model).
         self.inspect_depth = inspect_depth
+        super().__init__()
+
+    def reset(self) -> None:
+        """Lift every blackhole and zero the action count."""
+        super().reset()
         self.blackholed: Dict[FlowKey, float] = {}
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:

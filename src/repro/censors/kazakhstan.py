@@ -82,7 +82,6 @@ class KazakhstanCensor(Censor):
         payload_ignore_threshold: int = PAYLOAD_IGNORE_THRESHOLD,
         inspect_depth: Optional[int] = None,
     ) -> None:
-        super().__init__()
         self.keywords = keywords
         self.censored_ports = censored_ports
         # Adaptive knobs (repro.censors.adaptive): defaults reproduce the
@@ -90,6 +89,11 @@ class KazakhstanCensor(Censor):
         self.mitm_duration = mitm_duration
         self.payload_ignore_threshold = payload_ignore_threshold
         self.inspect_depth = inspect_depth
+        super().__init__()
+
+    def reset(self) -> None:
+        """Forget every flow and zero the action count."""
+        super().reset()
         self.flows: Dict[FlowKey, _KZFlow] = {}
 
     # ------------------------------------------------------------------

@@ -153,7 +153,6 @@ class SNICensor(Censor):
         blackhole_duration: float = 60.0,
         name: Optional[str] = None,
     ) -> None:
-        super().__init__()
         if rst_direction not in ("client", "server", "both"):
             raise ValueError(f"unknown rst_direction {rst_direction!r}")
         self.keywords = keywords
@@ -168,6 +167,11 @@ class SNICensor(Censor):
         self.blackhole_duration = blackhole_duration
         if name is not None:
             self.name = name
+        super().__init__()
+
+    def reset(self) -> None:
+        """Forget every flow, ignore mark and blackhole; zero the count."""
+        super().reset()
         self.flows: Dict[FlowKey, _FlowState] = {}
         self.ignored: Set[FlowKey] = set()
         self.blackholed: Dict[FlowKey, float] = {}

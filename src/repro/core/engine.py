@@ -40,11 +40,19 @@ class StrategyEngine:
     """
 
     def __init__(self, strategy: Strategy, rng: Optional[random.Random] = None) -> None:
-        # Stateful strategies (e.g. ``stall``) mutate as they apply; take
-        # a private copy so instances shared by the runtime's parse cache
-        # are never written to, and every trial starts from fresh state.
-        self.strategy = strategy.copy() if strategy.is_stateful() else strategy
+        self._installed = strategy
         self.rng = rng if rng is not None else random.Random(0)
+        self.reset()
+
+    def reset(self) -> None:
+        """Restart the strategy's state and zero the interception count.
+
+        Stateful strategies (e.g. ``stall``) mutate as they apply; each
+        run takes a private copy, so instances shared by the runtime's
+        parse cache are never written to and every run starts fresh.
+        """
+        strategy = self._installed
+        self.strategy = strategy.copy() if strategy.is_stateful() else strategy
         self.packets_intercepted = 0
 
     def _timed_apply(self, apply, packet: Packet) -> List[Packet]:

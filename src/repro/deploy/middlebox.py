@@ -34,9 +34,9 @@ class StrategyMiddlebox(Middlebox):
     name = "strategy-proxy"
 
     def __init__(self, strategy: Strategy, rng: Optional[random.Random] = None) -> None:
-        self.strategy = strategy
+        self._installed = strategy
         self.rng = rng if rng is not None else random.Random(0)
-        self.packets_rewritten = 0
+        self.reset()
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> List[Packet]:
         if direction != DIRECTION_S2C:
@@ -49,4 +49,12 @@ class StrategyMiddlebox(Middlebox):
         return out
 
     def reset(self) -> None:
+        """Restart the strategy's state and zero the rewrite count.
+
+        A stateful strategy (``stall``) runs on a private copy, as in
+        :class:`~repro.core.engine.StrategyEngine`, so each run starts
+        from fresh state and a shared parsed instance is never written.
+        """
+        strategy = self._installed
+        self.strategy = strategy.copy() if strategy.is_stateful() else strategy
         self.packets_rewritten = 0

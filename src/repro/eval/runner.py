@@ -144,15 +144,21 @@ class TrialRngs(NamedTuple):
     strategy: random.Random
 
 
+def _stream_seeds(seed: int) -> List[int]:
+    """The seeds of a trial's four streams, in :class:`TrialRngs` order."""
+    base = random.Random(seed)
+    return [base.randrange(1 << 30) for _ in range(4)]
+
+
 def trial_rngs(seed: int) -> TrialRngs:
     """Split a trial seed into its censor, client, server and strategy streams.
 
     The split is part of every recorded trace. A fleet flow with trial
     seed ``s`` uses it too, so it draws the same numbers, in the same
-    order, as ``Trial(seed=s)``.
+    order, as ``Trial(seed=s)``; :meth:`Trial.reseed` re-seeds a built
+    trial's streams from the same split.
     """
-    base = random.Random(seed)
-    return TrialRngs(*(random.Random(base.randrange(1 << 30)) for _ in range(4)))
+    return TrialRngs(*map(random.Random, _stream_seeds(seed)))
 
 
 def middlebox_chain(
@@ -234,7 +240,15 @@ class TrialResult:
 
 
 class Trial:
-    """One fully-assembled evaluation run (build, then :meth:`run`)."""
+    """One fully-assembled evaluation run (build, then :meth:`run`).
+
+    Everything but the seed is fixed at construction: the strategy parse
+    checks, the censor, the padded middlebox chain and the network.
+    :meth:`reseed` turns a built (and possibly already run) trial into
+    the one ``Trial(..., seed=new_seed)`` would build, so the executor
+    builds one world per shard of same-shape specs and re-seeds it for
+    each seed.
+    """
 
     def __init__(
         self,
@@ -284,6 +298,7 @@ class Trial:
         self.server_ip = server_ip
         self.protocol = protocol
         self.max_time = max_time
+        self.seed = seed
         self.scheduler = Scheduler()
         # Normalize the impairment policy up front; null policies drop to
         # None so the unimpaired path stays literally the pre-impairment
@@ -292,17 +307,12 @@ class Trial:
         if policy is not None and policy.is_null():
             policy = None
         self.impairment = policy
-        net_rng: Optional[random.Random] = None
+        self._net_seed = net_seed
+        #: The impairment stream; ``None`` on a perfect path.
+        self.net_rng: Optional[random.Random] = None
         if self.impairment is not None:
-            # The impairment stream is split from the trial seed with a
-            # domain salt (or pinned by an explicit net_seed) rather than
-            # added to the trial_rngs split below: one more draw there
-            # would shift the censor/client/server/strategy streams and
-            # change every existing trace.
-            net_rng = random.Random(
-                net_seed if net_seed is not None else net_stream_seed(seed)
-            )
-        rngs = trial_rngs(seed)
+            self.net_rng = random.Random(self._net_stream_seed(seed))
+        self.rngs = rngs = trial_rngs(seed)
 
         self.client_host = Host(
             "client", client_ip, self.scheduler, rngs.client, personality(client_os)
@@ -352,27 +362,72 @@ class Trial:
             self.server_host,
             middleboxes,
             impairment=self.impairment,
-            net_rng=net_rng,
+            net_rng=self.net_rng,
             trace=Trace() if capture_trace else NullTrace(),
         )
         self.client_host.attach(self.network)
         self.server_host.attach(self.network)
 
+        # The engines installed on the hosts; a strategy_at_hop proxy is
+        # a middlebox and resets with the chain.
+        self._engines = []
         if server_strategy is not None and not server_strategy.is_noop():
             self.server_engine = install_strategy(
                 self.server_host, server_strategy, rngs.strategy
             )
+            self._engines.append(self.server_engine)
         self.client_engine = None
         if client_strategy is not None and not client_strategy.is_noop():
             self.client_engine = install_strategy(
                 self.client_host, client_strategy, rngs.strategy
             )
+            self._engines.append(self.client_engine)
 
         port = server_port if server_port is not None else default_port(protocol)
         self.server_app = install_server_app(self.server_host, protocol, port)
-        self.client_app = make_client_app(
-            self.client_host, country, protocol, server_ip, port, workload, dns_tries
-        )
+        self._client_app_args = (country, protocol, server_ip, port, workload, dns_tries)
+        self.client_app = make_client_app(self.client_host, *self._client_app_args)
+
+    def _net_stream_seed(self, seed: int) -> int:
+        """The impairment stream's seed: ``net_seed`` if set, else split
+        from the trial seed.
+
+        The split uses a domain salt rather than a fifth draw in
+        :func:`trial_rngs`: one more draw there would shift the
+        censor/client/server/strategy streams and change every existing
+        trace.
+        """
+        return self._net_seed if self._net_seed is not None else net_stream_seed(seed)
+
+    def reseed(self, seed: int) -> None:
+        """Make this trial the one ``Trial(..., seed=seed)`` would build.
+
+        The four streams (and an impaired path's net stream) are
+        re-seeded in place, so every component holding one keeps it.
+        Then every component's per-run state is reset: the scheduler,
+        both hosts (whose ephemeral-port draw stays the first draw on
+        each host stream), every middlebox on the path, the server app
+        and the host engines. A capturing trial gets a fresh
+        :class:`Trace`, and the client app is built anew. Only a trial
+        whose :meth:`run` returned may be re-seeded: one that raised
+        may have left state half-updated.
+        """
+        self.seed = seed
+        for rng, stream_seed in zip(self.rngs, _stream_seeds(seed)):
+            rng.seed(stream_seed)
+        if self.net_rng is not None:
+            self.net_rng.seed(self._net_stream_seed(seed))
+        self.scheduler.reset()
+        self.client_host.reset()
+        self.server_host.reset()
+        for box in self.network.middleboxes:
+            box.reset()
+        self.server_app.reset()
+        for engine in self._engines:
+            engine.reset()
+        if not self._pooled:
+            self.network.trace = Trace()
+        self.client_app = make_client_app(self.client_host, *self._client_app_args)
 
     def run(self) -> TrialResult:
         """Execute the trial to quiescence and report the outcome.

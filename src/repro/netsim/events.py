@@ -36,6 +36,10 @@ class Scheduler:
     """
 
     def __init__(self) -> None:
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the queue and rewind the counter and the clock to zero."""
         self._queue: List[Tuple[float, int, Timer, Callable[[], None]]] = []
         self._counter = 0
         self.now = 0.0

@@ -145,8 +145,12 @@ class FlowScheduler(Scheduler):
 
     def __init__(self) -> None:
         super().__init__()
-        self.current: Optional[FlowHandle] = None
         self.on_drain: Optional[Callable[[FlowHandle], None]] = None
+
+    def reset(self) -> None:
+        """Empty the queue, rewind the clock and unbind the current flow."""
+        super().reset()
+        self.current: Optional[FlowHandle] = None
 
     # ------------------------------------------------------------------
     # Scheduling (tagging variants of the base API)

@@ -80,7 +80,11 @@ class Middlebox:
         return [packet]
 
     def reset(self) -> None:
-        """Clear per-trial state; called when a middlebox is reused."""
+        """Clear per-run state; called when a middlebox is reused.
+
+        A subclass with per-run state sets it here, and its ``__init__``
+        calls this once the configuration is in place.
+        """
 
 
 class TransparentTap(Middlebox):
@@ -92,7 +96,7 @@ class TransparentTap(Middlebox):
     name = "tap"
 
     def __init__(self) -> None:
-        self.seen: List[Packet] = []
+        self.reset()
 
     def process(self, packet: Packet, direction: str, ctx: PathContext) -> Iterable[Packet]:
         """Record a copy of ``packet`` and forward it unchanged."""
@@ -101,4 +105,4 @@ class TransparentTap(Middlebox):
 
     def reset(self) -> None:
         """Forget the recorded packets."""
-        self.seen.clear()
+        self.seen: List[Packet] = []

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import List, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence, Tuple
 
 from ..obs import spans as _spans
 from ..obs.metrics import Counter
@@ -80,7 +80,8 @@ class Network:
         self.scheduler = scheduler
         self.client = client
         self.server = server
-        self.middleboxes: List[Middlebox] = list(middleboxes)
+        #: Fixed at construction: the skip tables below index into it.
+        self.middleboxes: Tuple[Middlebox, ...] = tuple(middleboxes)
         self.hop_delay = hop_delay
         self.trace = trace if trace is not None else Trace()
         # A null policy is normalized to None so the hot path stays the
@@ -196,8 +197,6 @@ class Network:
             )
             return
         n = len(self.middleboxes)
-        if len(self._next_c2s) != n + 1:  # chain mutated post-construction
-            self._build_skip_tables()
         if direction == DIRECTION_C2S:
             target = self._next_c2s[index] if index < n else n
             if index + ttl < target:

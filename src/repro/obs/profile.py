@@ -87,13 +87,15 @@ def profile_run(
 ) -> ProfileResult:
     """Run one cell's ``trials`` spec executions in-process with spans enabled.
 
+    The cell runs as one serial, uncached executor batch, so its trials
+    share their shard's world exactly as they do in every other driver.
     A bad country, protocol, strategy or trial count raises
     :class:`~repro.runtime.CampaignError` before anything runs. Metrics
     are collected into an isolated registry so repeated profile
     runs in one process do not contaminate each other (or the global
     telemetry view).
     """
-    from ..runtime import CellSpec
+    from ..runtime import CellSpec, TrialExecutor
 
     cell = CellSpec.build(
         country, protocol, strategy, trials=trials, seed=seed,
@@ -102,8 +104,7 @@ def profile_run(
     )
     registry = metrics.MetricsRegistry()
     with metrics.collecting(registry), spans.profiling():
-        for spec in cell.trial_specs():
-            spec.run()
+        TrialExecutor().run_cells([cell])
     return ProfileResult(
         country=country,
         protocol=protocol,

@@ -44,7 +44,7 @@ from ..obs.metrics import Counter, Gauge
 from ..obs.runlog import RunLog
 from .cache import ResultCache, payload_result, result_payload, resolve_cache
 from .cell import CellSpec
-from .spec import TrialSpec
+from .spec import ShardWorld, TrialSpec
 
 __all__ = ["RunStats", "TrialExecutor"]
 
@@ -215,15 +215,16 @@ def _execute_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     A shard is a run of specs identical except for their seeds — exactly
     what a grid cell (:class:`~repro.runtime.CellSpec`) expands to.
     Executing them together amortizes per-dispatch costs: one IPC payload
-    and one metric snapshot per shard rather than per trial, and the
-    strategy parse / packet arena warm-up from the first trial is reused
-    by the rest of the shard within the worker process.
+    and one metric snapshot per shard rather than per trial. The first
+    seed's trial builds the shard's world (strategy parse, censor, path,
+    network), and every later seed re-seeds it (:class:`ShardWorld`).
     """
     base = payload["base"]
     collect = payload.get("_collect", False)
     outs: List[Dict[str, Any]] = []
 
     def run_all() -> None:
+        world = ShardWorld()
         for seed in payload["seeds"]:
             spec = TrialSpec(
                 country=base["country"],
@@ -235,7 +236,7 @@ def _execute_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
                 impairment=base.get("impairment"),
             )
             start = time.perf_counter()
-            result = spec.run()
+            result = spec.run(world=world)
             duration = time.perf_counter() - start
             out = result_payload(result)
             out["_duration"] = duration

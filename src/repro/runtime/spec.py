@@ -27,6 +27,7 @@ from typing import Any, Dict, Optional
 from ..obs.metrics import Counter
 
 __all__ = [
+    "ShardWorld",
     "SpecError",
     "TrialSpec",
     "canonical_json",
@@ -144,6 +145,25 @@ def _ensure_jsonable(value: Any, path: str) -> None:
     raise SpecError(f"option {path} = {value!r} is not JSON-representable")
 
 
+class ShardWorld:
+    """The one trial world that a shard's specs run on, in turn.
+
+    A shard is a run of specs that differ only in their seeds. The first
+    :meth:`TrialSpec.run` given this world builds its
+    :class:`~repro.eval.runner.Trial`, and each later run re-seeds that
+    trial for its own seed (:meth:`~repro.eval.runner.Trial.reseed`), so
+    the strategy parse, the censor, the path and the network are built
+    once per shard. Every run through one world must share the spec
+    shape and ``keep_trace``. A run that raises drops the trial, and the
+    next run builds afresh. The world lives as long as its shard.
+    """
+
+    __slots__ = ("trial",)
+
+    def __init__(self) -> None:
+        self.trial = None
+
+
 @dataclass
 class TrialSpec:
     """One trial, fully described as picklable data.
@@ -256,8 +276,12 @@ class TrialSpec:
     # ------------------------------------------------------------------
     # Execution
 
-    def run(self, keep_trace: bool = False):
+    def run(self, keep_trace: bool = False, world: Optional[ShardWorld] = None):
         """Execute this trial and return its :class:`TrialResult`.
+
+        With ``world``, the trial runs on that shard's world: built here
+        if the world is empty, else re-seeded for this spec's seed, which
+        skips the decode and the build (see :class:`ShardWorld`).
 
         A trace is captured only when ``keep_trace`` is set or a run log
         is active (a flight dump on error needs it); otherwise the trial
@@ -274,34 +298,21 @@ class TrialSpec:
         the tail of the packet trace is flight-dumped before the
         exception propagates.
         """
-        from ..eval.runner import Trial
         from ..obs import runlog as obs_runlog
         from ..obs import spans
 
         log = obs_runlog.active_runlog()
         with spans.span("trial"):
-            with spans.span("trial/spec_decode"):
-                server = (
-                    _parse_strategy(self.server_strategy)
-                    if self.server_strategy is not None
-                    else None
-                )
-                # Deep copy: Trial mutates nested options (e.g. it writes
-                # the DNS try count into the workload dict), and the spec
-                # must stay byte-stable so its content hash is the same
-                # before and after execution.
-                kwargs = _copy_tree(self.options)
-                if self.client_strategy is not None:
-                    kwargs["client_strategy"] = _parse_strategy(self.client_strategy)
-                if self.impairment is not None:
-                    kwargs["impairment"] = dict(self.impairment)
-                # Not a spec option: it cannot change the verdict, so it
-                # must not change the cache key either.
-                kwargs.setdefault("capture_trace", keep_trace or log is not None)
-            with spans.span("trial/build"):
-                trial = Trial(
-                    self.country, self.protocol, server, seed=self.seed, **kwargs
-                )
+            trial = None
+            if world is not None:
+                # Taken out until this run returns: a trial that raises
+                # is never reused.
+                trial, world.trial = world.trial, None
+            if trial is not None:
+                with spans.span("trial/build"):
+                    trial.reseed(self.seed)
+            else:
+                trial = self._build(keep_trace or log is not None)
             try:
                 with spans.span("trial/simulate", clock=trial.scheduler):
                     result = trial.run()
@@ -309,6 +320,8 @@ class TrialSpec:
                 if log is not None:
                     log.record_exception(self, exc, trace=trial.network.trace)
                 raise
+            if world is not None:
+                world.trial = trial
             with spans.span("trial/finalize"):
                 _TRIAL_OUTCOMES.inc(
                     country=self.country if self.country is not None else "none",
@@ -319,3 +332,29 @@ class TrialSpec:
                 if not keep_trace:
                     result.trace = None
         return result
+
+    def _build(self, capture_trace: bool):
+        """Decode this spec and build its trial (spanned phases of :meth:`run`)."""
+        from ..eval.runner import Trial
+        from ..obs import spans
+
+        with spans.span("trial/spec_decode"):
+            server = (
+                _parse_strategy(self.server_strategy)
+                if self.server_strategy is not None
+                else None
+            )
+            # Deep copy: Trial mutates nested options (e.g. it writes the
+            # DNS try count into the workload dict), and the spec must
+            # stay byte-stable so its content hash is the same before and
+            # after execution.
+            kwargs = _copy_tree(self.options)
+            if self.client_strategy is not None:
+                kwargs["client_strategy"] = _parse_strategy(self.client_strategy)
+            if self.impairment is not None:
+                kwargs["impairment"] = dict(self.impairment)
+            # Not a spec option: it cannot change the verdict, so it must
+            # not change the cache key either.
+            kwargs.setdefault("capture_trace", capture_trace)
+        with spans.span("trial/build"):
+            return Trial(self.country, self.protocol, server, seed=self.seed, **kwargs)

@@ -72,14 +72,24 @@ class Host:
         self.outbound_filters: List[PacketFilter] = []
         self.inbound_filters: List[PacketFilter] = []
         self.accept_hooks: List[Callable[[TCPEndpoint], None]] = []
-        self._endpoints: Dict[Tuple[str, int, int], TCPEndpoint] = {}
         self._listeners: Dict[int, Callable[[TCPEndpoint], None]] = {}
         self._udp_binds: Dict[int, Callable[[Packet], None]] = {}
-        self._next_ephemeral = _EPHEMERAL_BASE + rng.randrange(1000)
         self.flow_rng_provider: Optional[
             Callable[[Tuple[str, int, int]], Optional[random.Random]]
         ] = None
         self.on_endpoint_closed: Optional[Callable[[TCPEndpoint], None]] = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget every endpoint and draw a fresh ephemeral-port base.
+
+        The draw is the first one a host makes on its stream, so a host
+        reset right after its stream is re-seeded draws what a new host
+        would. Listeners, UDP binds, filters and hooks are wiring, not
+        per-run state, and stay.
+        """
+        self._endpoints: Dict[Tuple[str, int, int], TCPEndpoint] = {}
+        self._next_ephemeral = _EPHEMERAL_BASE + self.rng.randrange(1000)
 
     # ------------------------------------------------------------------
     # Wiring

@@ -150,6 +150,17 @@ class TestTeardown:
         box.observe(c2s("PA", load=FORBIDDEN), "c2s", ctx)
         assert ctx.injected == []
 
+    @pytest.mark.parametrize(
+        "offset, torn_down", [(1, True), (65535, True), (65536, False)]
+    )
+    def test_client_rst_window_edges(self, offset, torn_down):
+        """A client RST anywhere in the 64 KiB window past ``client_next``
+        tears the TCB down; one a byte beyond it does not."""
+        box, ctx = make_box()
+        tcb = handshake(box, ctx)
+        box.observe(c2s("R", seq=tcb.client_next + offset, ack=0), "c2s", ctx)
+        assert (tcb.mode == MODE_IGNORED) is torn_down
+
     def test_out_of_window_client_rst_ignored(self):
         box, ctx = make_box()
         tcb = handshake(box, ctx)

@@ -7,6 +7,8 @@ reordered arrival, window expiry, the byte budget, RST purges, and the
 strict/lenient split on ESNI and malformed hellos.
 """
 
+import struct
+
 import pytest
 
 from repro.apps.tls import build_client_hello, build_server_hello
@@ -56,6 +58,26 @@ def s2c(load, seq=1, ack=100):
     return make_tcp_packet(
         SERVER, CLIENT, 443, CPORT, flags="PA", seq=seq, ack=ack, load=load
     )
+
+
+def padded_client_hello(server_name, padding):
+    """A ClientHello whose SNI follows a ``padding``-byte RFC 7685
+    padding extension, so the name lies deep in the stream."""
+    name = server_name.encode()
+    sni_entry = struct.pack("!BH", 0, len(name)) + name
+    sni_list = struct.pack("!H", len(sni_entry)) + sni_entry
+    extensions = (
+        struct.pack("!HH", 21, padding) + bytes(padding)
+        + struct.pack("!HH", 0, len(sni_list)) + sni_list
+    )
+    body = (
+        b"\x03\x03" + bytes(32) + b"\x00"  # version, random, no session id
+        + b"\x00\x02\x13\x01"  # one cipher suite
+        + b"\x01\x00"  # null compression only
+        + struct.pack("!H", len(extensions)) + extensions
+    )
+    handshake = b"\x01" + struct.pack("!I", len(body))[1:] + body
+    return struct.pack("!B2sH", 0x16, b"\x03\x03", len(handshake)) + handshake
 
 
 def feed_hello(censor, ctx, hello, chunk):
@@ -127,6 +149,23 @@ class TestReassembly:
         assert censor.process(c2s(101, hello), "c2s", ctx)
         assert censor.censorship_events == 0
         assert not censor.flows
+
+    @pytest.mark.parametrize(
+        "country, blocked", [("southkorea", BLOCKED_KR), ("russia", BLOCKED_RU)]
+    )
+    def test_default_budget_reaches_a_deep_sni(self, country, blocked):
+        """The baseline boxes buffer 8 KiB, so an SNI past the first
+        1,024 stream bytes is still found and blocked."""
+        censor = build_censor(country)
+        assert censor.reassembly_bytes == 8192
+        hello = padded_client_hello(blocked, 1100)
+        assert hello.index(blocked.encode()) > 1024
+        ctx = Ctx()
+        feed_hello(censor, ctx, hello, 256)
+        if censor.confirm_server_hello:
+            assert next(iter(censor.flows.values())).armed
+            censor.process(s2c(build_server_hello(blocked)), "s2c", ctx)
+        assert censor.censorship_events == 1
 
     def test_reassembly_budget_overflow(self):
         censor = SNICensor(RUSSIA_KEYWORDS, reassembly_bytes=64, strict=False)

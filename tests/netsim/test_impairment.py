@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.eval import Trial
 from repro.netsim import Impairment, Network, Scheduler
 from repro.netsim.impairment import corrupt_payload
 from repro.packets import make_tcp_packet
@@ -106,6 +107,18 @@ class TestNetworkIntegration:
         pair = linked_hosts(impairment=Impairment.none())
         assert pair.network.impairment is None
         assert pair.network._net_rng is None
+
+    @pytest.mark.parametrize("null", [Impairment.none(), {"loss": 0.0}])
+    def test_null_policy_leaves_a_trial_unimpaired(self, null):
+        """A trial given a null policy has no impairment and no net stream,
+        on itself and on its network, before and after a re-seed."""
+        trial = Trial("china", "http", None, seed=3, impairment=null)
+        for _ in range(2):
+            assert trial.impairment is None and trial.net_rng is None
+            assert trial.network.impairment is None
+            assert trial.network._net_rng is None
+            trial.run()
+            trial.reseed(4)
 
     def test_lossy_exchange_recovers_by_retransmission(self, linked_hosts):
         ep, trace = run_exchange(linked_hosts, Impairment(loss=0.2), net_seed=3)

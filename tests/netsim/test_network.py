@@ -68,6 +68,15 @@ class TestDelivery:
 
 
 class TestMiddleboxes:
+    def test_chain_is_fixed_at_construction(self):
+        """The path is a tuple: the skip tables index into it, so it
+        cannot change under them."""
+        chain = [Middlebox(), TransparentTap()]
+        sched, client, server, net = build(chain)
+        chain.append(Middlebox())
+        assert isinstance(net.middleboxes, tuple)
+        assert len(net.middleboxes) == 2
+
     def test_tap_sees_both_directions(self):
         tap = TransparentTap()
         sched, client, server, net = build([tap])
