@@ -41,6 +41,7 @@ class StrategyEngine:
 
     def __init__(self, strategy: Strategy, rng: Optional[random.Random] = None) -> None:
         self._installed = strategy
+        self._stateful = strategy.is_stateful()
         self.rng = rng if rng is not None else random.Random(0)
         self.reset()
 
@@ -52,7 +53,7 @@ class StrategyEngine:
         parse cache are never written to and every run starts fresh.
         """
         strategy = self._installed
-        self.strategy = strategy.copy() if strategy.is_stateful() else strategy
+        self.strategy = strategy.copy() if self._stateful else strategy
         self.packets_intercepted = 0
 
     def _timed_apply(self, apply, packet: Packet) -> List[Packet]:

@@ -35,6 +35,7 @@ class StrategyMiddlebox(Middlebox):
 
     def __init__(self, strategy: Strategy, rng: Optional[random.Random] = None) -> None:
         self._installed = strategy
+        self._stateful = strategy.is_stateful()
         self.rng = rng if rng is not None else random.Random(0)
         self.reset()
 
@@ -56,5 +57,5 @@ class StrategyMiddlebox(Middlebox):
         from fresh state and a shared parsed instance is never written.
         """
         strategy = self._installed
-        self.strategy = strategy.copy() if strategy.is_stateful() else strategy
+        self.strategy = strategy.copy() if self._stateful else strategy
         self.packets_rewritten = 0

@@ -67,34 +67,59 @@ def _verdict(result):
     return (result.outcome, result.detail, result.censored, result.trace.digest())
 
 
+def _tables(component):
+    """A component's counters and the sizes of its tables, by name."""
+    return sorted(
+        (name, len(value) if isinstance(value, (dict, set)) else value)
+        for name, value in vars(component).items()
+        if isinstance(value, (dict, set, int)) and not isinstance(value, bool)
+    )
+
+
+def _state(trial):
+    """Per-run state a missed reset would carry into the next trial."""
+    engines = [e for e in (trial.server_engine, trial.client_engine) if e is not None]
+    return (
+        trial.scheduler.now,
+        len(trial.client_host.endpoints()),
+        len(trial.server_host.endpoints()),
+        len(trial.server_app.connections),
+        _tables(trial.censor),
+        [_tables(box) for box in getattr(trial.censor, "boxes", {}).values()],
+        [getattr(e, "packets_intercepted", getattr(e, "packets_rewritten", None)) for e in engines],
+    )
+
+
 @lru_cache(maxsize=None)
 def _fresh(name):
-    """Each seed's verdict from its own freshly built trial."""
+    """Each seed's verdict and end state from its own fresh trial."""
     country, protocol, number, options = SHAPES[name]
     options = dict(options)
     if "client_strategy" in options:
         options["client_strategy"] = Strategy.parse(options["client_strategy"])
     strategy = deployed_strategy(number) if number else None
-    return tuple(
-        _verdict(Trial(country, protocol, strategy, seed=seed, **options).run())
-        for seed in SEEDS
-    )
+    runs = []
+    for seed in SEEDS:
+        trial = Trial(country, protocol, strategy, seed=seed, **options)
+        runs.append((_verdict(trial.run()), _state(trial)))
+    return tuple(runs)
 
 
 def _reseeded(name, sabotage=None):
-    """Each seed's verdict from one world, re-seeded for every later seed.
+    """Each seed's verdict and end state from one re-seeded world.
 
     Digests are taken after the last run, so a re-seed that appended to
     an earlier trial's trace would show. ``sabotage`` is applied to the
     world's trial after each run.
     """
     world = ShardWorld()
-    results = []
+    results, states = [], []
     for seed in SEEDS:
         results.append(_spec(name, seed).run(keep_trace=True, world=world))
+        states.append(_state(world.trial))
         if sabotage is not None:
             sabotage(world.trial)
-    return tuple(_verdict(result) for result in results)
+    return tuple(zip((_verdict(result) for result in results), states))
 
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
@@ -106,10 +131,15 @@ def test_reseeds_follow_censored_and_failed_trials():
     followed = [
         name
         for name in SHAPES
-        if any(outcome != "success" or censored for outcome, _, censored, _ in _fresh(name)[:-1])
+        if any(
+            outcome != "success" or censored
+            for (outcome, _, censored, _), _ in _fresh(name)[:-1]
+        )
     ]
     assert len(followed) >= 8, followed
-    assert any(outcome == "success" for name in followed for outcome, *_ in _fresh(name))
+    assert any(
+        verdict[0] == "success" for name in followed for verdict, _ in _fresh(name)
+    )
 
 
 def _skip_seed(*args):
@@ -175,4 +205,4 @@ def test_a_trial_that_raises_is_not_reused():
     assert world.trial is None
     result = _spec("table2-china", SEEDS[1]).run(keep_trace=True, world=world)
     assert world.trial is not None and world.trial is not failing
-    assert _verdict(result) == _fresh("table2-china")[1]
+    assert _verdict(result) == _fresh("table2-china")[1][0]
