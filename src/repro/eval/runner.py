@@ -298,7 +298,6 @@ class Trial:
         self.server_ip = server_ip
         self.protocol = protocol
         self.max_time = max_time
-        self.seed = seed
         self.scheduler = Scheduler()
         # Normalize the impairment policy up front; null policies drop to
         # None so the unimpaired path stays literally the pre-impairment
@@ -412,7 +411,6 @@ class Trial:
         whose :meth:`run` returned may be re-seeded: one that raised
         may have left state half-updated.
         """
-        self.seed = seed
         for rng, stream_seed in zip(self.rngs, _stream_seeds(seed)):
             rng.seed(stream_seed)
         if self.net_rng is not None:
