@@ -7,16 +7,22 @@ packets (Appendix of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
+from typing import FrozenSet, Optional
 
 from ...packets import Packet
 
 __all__ = ["Trigger"]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Trigger:
     """An exact-match packet predicate.
+
+    :meth:`Packet.matches` defines what matches. A ``TCP:flags`` trigger
+    fixes its letter set when it is built and compares each segment's
+    flag letters with it, which is the answer ``Packet.matches`` gives
+    without resolving the field per packet.
 
     Attributes:
         protocol: ``"TCP"`` or ``"IP"``.
@@ -27,9 +33,20 @@ class Trigger:
     protocol: str
     field: str
     value: str
+    _flags: Optional[FrozenSet[str]] = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        if self.field == "flags" and self.protocol.upper() == "TCP":
+            object.__setattr__(self, "_flags", frozenset(self.value.upper()))
 
     def matches(self, packet: Packet) -> bool:
         """Whether ``packet`` satisfies this trigger."""
+        flags = self._flags
+        if flags is not None:
+            tcp = packet.tcp
+            return tcp is not None and flags == set(tcp.flags)
         try:
             return packet.matches(self.protocol, self.field, self.value)
         except ValueError:

@@ -81,8 +81,15 @@ class StrategyEngine:
 def install_strategy(
     host: Host, strategy: Strategy, rng: Optional[random.Random] = None
 ) -> StrategyEngine:
-    """Attach ``strategy`` to ``host`` (both directions); returns the engine."""
+    """Attach ``strategy`` to ``host``; returns the engine.
+
+    The engine filters a direction only when that direction's forest has
+    an action tree: an empty forest forwards every packet unchanged, so
+    its filter would do nothing but cost a call per packet.
+    """
     engine = StrategyEngine(strategy, rng)
-    host.outbound_filters.append(engine.outbound_filter)
-    host.inbound_filters.append(engine.inbound_filter)
+    if strategy.outbound:
+        host.outbound_filters.append(engine.outbound_filter)
+    if strategy.inbound:
+        host.inbound_filters.append(engine.inbound_filter)
     return engine

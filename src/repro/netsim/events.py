@@ -13,6 +13,9 @@ from typing import Callable, List, Optional, Tuple
 
 __all__ = ["Scheduler", "Timer"]
 
+#: ``run``'s stopping time when it drains the whole queue.
+_NEVER = float("inf")
+
 
 class Timer:
     """Handle for a scheduled callback that can be cancelled."""
@@ -39,8 +42,15 @@ class Scheduler:
         self.reset()
 
     def reset(self) -> None:
-        """Empty the queue and rewind the counter and the clock to zero."""
-        self._queue: List[Tuple[float, int, Timer, Callable[[], None]]] = []
+        """Empty the queue and rewind the counter and the clock to zero.
+
+        Every entry is a 5-tuple ``(when, counter, timer, callback,
+        args)``; the unique counter in slot 1 guarantees heap comparisons
+        never reach the tail.
+        """
+        self._queue: List[
+            Tuple[float, int, Optional[Timer], Callable[..., None], tuple]
+        ] = []
         self._counter = 0
         self.now = 0.0
 
@@ -49,7 +59,9 @@ class Scheduler:
         if delay < 0:
             raise ValueError("delay must be non-negative")
         timer = Timer()
-        heapq.heappush(self._queue, (self.now + delay, self._counter, timer, callback))
+        heapq.heappush(
+            self._queue, (self.now + delay, self._counter, timer, callback, ())
+        )
         self._counter += 1
         return timer
 
@@ -57,11 +69,9 @@ class Scheduler:
         """Schedule an uncancellable callback at absolute time ``when``.
 
         The hot-path variant used by the network's packet walk: no
-        :class:`Timer` allocation, and ``args`` are applied at dispatch
-        so call sites avoid building a closure per packet-hop. Entries
-        are 5-tuples alongside ``schedule``'s 4-tuples in the same heap;
-        the unique counter in slot 1 guarantees heap comparisons never
-        reach the mixed-type tail.
+        :class:`Timer` allocation (the entry's timer slot is ``None``),
+        and ``args`` are applied at dispatch so call sites avoid building
+        a closure per packet-hop.
         """
         if when < self.now:
             raise ValueError("cannot schedule into the past")
@@ -83,21 +93,16 @@ class Scheduler:
         executed = 0
         queue = self._queue
         pop = heapq.heappop
+        limit = _NEVER if until is None else until
         while queue and executed < max_events:
-            entry = queue[0]
-            when = entry[0]
-            if until is not None and when > until:
+            if queue[0][0] > limit:
                 break
-            pop(queue)
-            timer = entry[2]
+            when, _, timer, callback, args = pop(queue)
             if timer is not None and timer.cancelled:
                 continue
             if when > self.now:
                 self.now = when
-            if len(entry) == 5:
-                entry[3](*entry[4])
-            else:
-                entry[3]()
+            callback(*args)
             executed += 1
         if until is not None and (not queue or queue[0][0] > until):
             self.now = max(self.now, until)

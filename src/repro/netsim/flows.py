@@ -343,7 +343,7 @@ class FlowRouter:
 
     def send_from(self, node: Any, packet: Packet) -> None:
         """Transmit a server-originated packet toward its flow's client."""
-        network = self._networks.get(packet.dst)
+        network = self._networks.get(packet.ip.dst)
         if network is None:
             self.unrouted += 1
             self.world_trace.record(

@@ -118,8 +118,11 @@ class Network:
 
         ``_next_c2s[i]`` is the first active index ``>= i`` (or ``n`` for
         server delivery); ``_next_s2c[i + 1]`` the first active index
-        ``<= i`` (or ``-1`` for client delivery). Inert means exactly the
-        base :class:`Middlebox` — any subclass is assumed interesting.
+        ``<= i`` (or ``-1`` for client delivery). Both tables have an
+        entry for the far end (``_next_c2s[n] == n``, ``_next_s2c[0] ==
+        -1``), so every index a walk reaches, ends included, is in range.
+        Inert means exactly the base :class:`Middlebox` — any subclass is
+        assumed interesting.
         """
         boxes = self.middleboxes
         n = len(boxes)
@@ -151,7 +154,9 @@ class Network:
         else:
             raise ValueError(f"unknown endpoint {node!r}")
         _PKT_SEND.inc()
-        self.trace.record(self.scheduler.now, "send", node.name, packet)
+        trace = self.trace
+        if trace.recording:
+            trace.record(self.scheduler.now, "send", node.name, packet)
         self._schedule_hop(packet, direction, start, packet.ip.ttl)
 
     def inject_from(self, position: int, packet: Packet, toward: str, name: str) -> None:
@@ -196,9 +201,8 @@ class Network:
                 self.hop_delay, lambda: self._hop(packet, direction, index, ttl)
             )
             return
-        n = len(self.middleboxes)
         if direction == DIRECTION_C2S:
-            target = self._next_c2s[index] if index < n else n
+            target = self._next_c2s[index]
             if index + ttl < target:
                 steps = ttl + 1
                 label = f"hop{index + ttl}"
@@ -206,7 +210,7 @@ class Network:
             else:
                 steps = target - index + 1
         else:
-            target = self._next_s2c[index + 1] if index >= 0 else -1
+            target = self._next_s2c[index + 1]
             if index - ttl > target:
                 steps = ttl + 1
                 label = f"hop{index - ttl}"
@@ -312,7 +316,9 @@ class Network:
             self.trace.record(self.scheduler.now, "drop", node.name, packet, "ttl expired")
             return
         _PKT_RECV.inc()
-        self.trace.record(self.scheduler.now, "recv", node.name, packet)
+        trace = self.trace
+        if trace.recording:
+            trace.record(self.scheduler.now, "recv", node.name, packet)
         if _spans.ENABLED:
             t0 = time.perf_counter()
             node.receive(packet)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import ClassVar, List, Optional
 
 from ..packets import Packet
 
@@ -48,9 +48,15 @@ class TraceEvent:
 
 @dataclass
 class Trace:
-    """An append-only log of :class:`TraceEvent` items."""
+    """An append-only log of :class:`TraceEvent` items.
+
+    ``recording`` (a class attribute) says whether :meth:`record` keeps
+    anything; per-packet call sites test it and skip the call, and the
+    building of its arguments, when it is false.
+    """
 
     events: List[TraceEvent] = field(default_factory=list)
+    recording: ClassVar[bool] = True
 
     def record(
         self,
@@ -105,6 +111,8 @@ class NullTrace(Trace):
     (:mod:`repro.packets.pool`). ``events`` stays an empty list, so all
     read-side methods (filter/digest/dump) work and report emptiness.
     """
+
+    recording: ClassVar[bool] = False
 
     def record(
         self,

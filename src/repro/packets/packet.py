@@ -264,17 +264,7 @@ def make_tcp_packet(
         arena = pool._ACTIVE
         if arena is not None:
             return arena.acquire_tcp(
-                src,
-                dst,
-                sport,
-                dport,
-                flags=flags,
-                seq=seq,
-                ack=ack,
-                load=load,
-                window=window,
-                ttl=ttl,
-                options=options,
+                src, dst, sport, dport, flags, seq, ack, load, window, ttl, options
             )
         ip = IPv4(src=src, dst=dst, ttl=ttl)
     tcp = TCP(

@@ -44,14 +44,21 @@ _Packet = None
 
 
 class PacketArena:
-    """A bounded free list of TCP/IPv4 packet trios."""
+    """A bounded free list of TCP/IPv4 packet trios.
 
-    __slots__ = ("max_free", "_free", "_live", "created", "reused")
+    Attributes:
+        created: Trios built because the free list was empty.
+        reused: Trios taken from the free list.
+    """
+
+    __slots__ = ("max_free", "_free", "_live", "_tally", "created", "reused")
 
     def __init__(self, max_free: int = 512) -> None:
         self.max_free = max_free
         self._free: List[object] = []
         self._live: List[object] = []
+        #: The arena whose ``created``/``reused`` count this one's acquires.
+        self._tally = self
         self.created = 0
         self.reused = 0
 
@@ -60,7 +67,7 @@ class PacketArena:
     def _get(self):
         if self._free:
             packet = self._free.pop()
-            self.reused += 1
+            self._tally.reused += 1
         else:
             global _Packet
             if _Packet is None:  # deferred: packet.py imports this module
@@ -71,7 +78,7 @@ class PacketArena:
             packet.ip = IPv4.__new__(IPv4)
             packet.tcp = TCP.__new__(TCP)
             packet.udp = None
-            self.created += 1
+            self._tally.created += 1
         self._live.append(packet)
         return packet
 
@@ -89,7 +96,11 @@ class PacketArena:
         ttl: int = 64,
         options: Optional[list] = None,
     ):
-        """Acquire a trio initialized exactly like ``make_tcp_packet``."""
+        """Acquire a trio initialized exactly like ``make_tcp_packet``.
+
+        The parameters are ``make_tcp_packet``'s, in its order, so it
+        passes them on positionally.
+        """
         packet = self._get()
         ip = packet.ip
         ip.version = 4
@@ -208,6 +219,9 @@ class ArenaLease(PacketArena):
     lease when it quiesces, independent of every other in-flight flow,
     and the hygiene guarantee is unchanged: every acquire re-initializes
     every slot, so it cannot matter which flow last touched a trio.
+
+    A lease keeps no tallies of its own: leases are recycled with their
+    flow, so its acquires count on the parent's ``created``/``reused``.
     """
 
     __slots__ = ("parent",)
@@ -217,19 +231,7 @@ class ArenaLease(PacketArena):
         self.max_free = parent.max_free
         self._free = parent._free  # aliased: one shared free list
         self._live = []
-        self.created = 0
-        self.reused = 0
-
-    def _get(self):
-        reused = bool(self._free)
-        packet = PacketArena._get(self)
-        # Mirror counters onto the parent: leases are recycled with their
-        # flow, but the arena-wide tallies must survive them.
-        if reused:
-            self.parent.reused += 1
-        else:
-            self.parent.created += 1
-        return packet
+        self._tally = parent
 
 
 #: The process-wide arena; pooling is rare enough to recycle one free list.

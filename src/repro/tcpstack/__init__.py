@@ -12,7 +12,7 @@ Public surface:
 """
 
 from . import states
-from .endpoint import DEFAULT_RTO, MAX_RETRANSMITS, TCPEndpoint, seq_delta
+from .endpoint import TCPEndpoint, seq_delta
 from .host import Host, PacketFilter
 from .personality import (
     PERSONALITIES,
@@ -23,9 +23,7 @@ from .personality import (
 )
 
 __all__ = [
-    "DEFAULT_RTO",
     "Host",
-    "MAX_RETRANSMITS",
     "OSPersonality",
     "PERSONALITIES",
     "PacketFilter",

@@ -28,6 +28,7 @@ from .personality import OSPersonality
 __all__ = ["TCPEndpoint", "seq_delta"]
 
 _MOD = 1 << 32
+_HALF = _MOD >> 1
 
 #: Endpoint-level TCP events, labeled by OS personality. All
 #: deterministic: they depend only on the seeded simulation.
@@ -52,22 +53,16 @@ _TCP_DUP_SEGMENTS = Counter(
     ("personality",),
 )
 
-#: Base retransmission timeout (virtual seconds) — the fallback when a
-#: personality does not override :attr:`OSPersonality.rto`.
-DEFAULT_RTO = 0.4
-#: Legacy flat retransmission cap. Per-state limits now come from the
-#: personality (``syn_retries`` / ``synack_retries`` / ``data_retries``);
-#: this remains the floor older callers may still reference.
-MAX_RETRANSMITS = 4
-
 
 def seq_delta(a: int, b: int) -> int:
     """Signed difference ``a - b`` in 32-bit sequence space.
 
-    Equality needs no call: ``seq_delta(a, b) == 0`` is
-    ``(a - b) % 2**32 == 0``, which the segment handlers write inline.
+    The per-segment paths need no call. ``seq_delta(a, b) == 0`` is
+    ``(a - b) % 2**32 == 0``; ``seq_delta(a, b) > 0`` is
+    ``(a - b + 2**31) % 2**32 > 2**31``, and ``<= 0`` is its negation.
+    ``_flush`` and ``_process_ack`` write these inline.
     """
-    return ((a - b + (_MOD >> 1)) % _MOD) - (_MOD >> 1)
+    return ((a - b + _HALF) % _MOD) - _HALF
 
 
 class TCPEndpoint:
@@ -93,6 +88,9 @@ class TCPEndpoint:
         self.remote_port = remote_port
         self.personality = personality
         self.rng = rng if rng is not None else host.rng
+        # Read per segment and per retransmission arm.
+        self._window = personality.default_window & 0xFFFF
+        self._rto = personality.rto
 
         self.state = states.CLOSED
         self.iss = 0
@@ -355,10 +353,15 @@ class TCPEndpoint:
             self._process_data(tcp, flags)
 
     def _process_ack(self, ack: int, window: int) -> None:
-        if seq_delta(ack, self.snd_una) > 0 and seq_delta(ack, self.snd_nxt) <= 0:
+        # seq_delta(ack, snd_una) > 0 and seq_delta(ack, snd_nxt) <= 0.
+        snd_nxt = self.snd_nxt
+        if (
+            (ack - self.snd_una + _HALF) % _MOD > _HALF
+            and (ack - snd_nxt + _HALF) % _MOD <= _HALF
+        ):
             self.snd_una = ack
             self._retx_count = 0
-            all_acked = (ack - self.snd_nxt) % _MOD == 0
+            all_acked = (ack - snd_nxt) % _MOD == 0
             if self._fin_sent and all_acked:
                 if self.state == states.FIN_WAIT_1:
                     self.state = states.FIN_WAIT_2
@@ -446,7 +449,7 @@ class TCPEndpoint:
         )
 
     def _send_ack(self) -> None:
-        self._emit("A", seq=self.snd_nxt, ack=self.rcv_nxt)
+        self._emit("A", self.snd_nxt, self.rcv_nxt)
 
     def _emit(
         self,
@@ -456,70 +459,72 @@ class TCPEndpoint:
         load: bytes = b"",
         options: Optional[list] = None,
     ) -> None:
-        packet = make_tcp_packet(
-            src=self.host.ip,
-            dst=self.remote_ip,
-            sport=self.local_port,
-            dport=self.remote_port,
-            flags=flags,
-            seq=seq % _MOD,
-            ack=ack % _MOD,
-            load=load,
-            window=self.personality.default_window & 0xFFFF,
-            options=options,
+        host = self.host
+        host.transmit(
+            make_tcp_packet(
+                host.ip, self.remote_ip, self.local_port, self.remote_port,
+                flags, seq % _MOD, ack % _MOD, load, self._window,
+                options=options,
+            )
         )
-        self.host.transmit(packet)
-
-    def _effective_send_window(self) -> int:
-        shift = self.peer_wscale or 0
-        return self.snd_wnd << shift
 
     def _flush(self) -> None:
-        if self.state not in (states.ESTABLISHED, states.CLOSE_WAIT):
+        state = self.state
+        if state != states.ESTABLISHED and state != states.CLOSE_WAIT:
             return
+        # Nothing below runs a peer's segment, so the send window, the
+        # stream and snd_una hold still while this flush sends.
+        stream = self._stream
+        base = self._stream_base
+        snd_una = self.snd_una
+        snd_nxt = self.snd_nxt
+        window = self.snd_wnd << (self.peer_wscale or 0)
         sent_any = False
         while True:
-            pending_offset = seq_delta(self.snd_nxt, self._stream_base)
-            pending = len(self._stream) - pending_offset
+            pending_offset = (snd_nxt - base + _HALF) % _MOD - _HALF
+            pending = len(stream) - pending_offset
             if pending_offset < 0 or pending <= 0:
                 break
-            inflight = seq_delta(self.snd_nxt, self.snd_una)
-            available = self._effective_send_window() - inflight
+            inflight = (snd_nxt - snd_una + _HALF) % _MOD - _HALF
+            available = window - inflight
             if available <= 0:
-                if self._effective_send_window() == 0 and inflight == 0:
+                if window == 0 and inflight == 0:
                     # Zero-window persist probe: send one byte so the peer
                     # re-advertises its window (RFC 1122 §4.2.2.17).
                     available = 1
                 else:
                     break
             size = min(self.peer_mss, available, pending)
-            chunk = bytes(self._stream[pending_offset : pending_offset + size])
-            self._emit("PA", seq=self.snd_nxt, ack=self.rcv_nxt, load=chunk)
-            self.snd_nxt = (self.snd_nxt + size) % _MOD
+            chunk = bytes(stream[pending_offset : pending_offset + size])
+            self._emit("PA", snd_nxt, self.rcv_nxt, chunk)
+            snd_nxt = self.snd_nxt = (snd_nxt + size) % _MOD
             sent_any = True
-        if self._fin_queued and not self._fin_sent and self._all_data_sent():
-            self._emit("FA", seq=self.snd_nxt, ack=self.rcv_nxt)
-            self.snd_nxt = (self.snd_nxt + 1) % _MOD
+        if (
+            self._fin_queued
+            and not self._fin_sent
+            and (snd_nxt - base + _HALF) % _MOD - _HALF >= len(stream)
+        ):
+            self._emit("FA", snd_nxt, self.rcv_nxt)
+            snd_nxt = self.snd_nxt = (snd_nxt + 1) % _MOD
             self._fin_sent = True
             self.state = (
-                states.LAST_ACK if self.state == states.CLOSE_WAIT else states.FIN_WAIT_1
+                states.LAST_ACK if state == states.CLOSE_WAIT else states.FIN_WAIT_1
             )
             sent_any = True
-        if sent_any or seq_delta(self.snd_nxt, self.snd_una) > 0:
+        # seq_delta(snd_nxt, snd_una) > 0: data or FIN is in flight.
+        if sent_any or (snd_nxt - snd_una + _HALF) % _MOD > _HALF:
             self._arm_retransmit()
-
-    def _all_data_sent(self) -> bool:
-        pending_offset = seq_delta(self.snd_nxt, self._stream_base)
-        return pending_offset >= len(self._stream)
 
     # ------------------------------------------------------------------
     # Retransmission
 
     def _arm_retransmit(self) -> None:
-        self._cancel_retransmit()
-        rto = getattr(self.personality, "rto", DEFAULT_RTO)
-        delay = rto * (2 ** min(self._retx_count, 6))
-        self._retx_timer = self.host.scheduler.schedule(delay, self._on_rto)
+        timer = self._retx_timer
+        if timer is not None:
+            timer.cancel()
+        self._retx_timer = self.host.scheduler.schedule(
+            self._rto * (2 ** min(self._retx_count, 6)), self._on_rto
+        )
 
     def _cancel_retransmit(self) -> None:
         if self._retx_timer is not None:

@@ -173,20 +173,28 @@ class Host:
     # Wire interface
 
     def transmit(self, packet: Packet) -> None:
-        """Send a stack-originated packet through the outbound filters."""
-        if self.network is None:
+        """Send a stack-originated packet through the outbound filters.
+
+        With no filter installed the loop body never runs and the
+        network gets ``packet`` itself.
+        """
+        network = self.network
+        if network is None:
             raise RuntimeError(f"host {self.name} is not attached to a network")
-        packets = [packet]
+        packets = (packet,)
         for flt in self.outbound_filters:
             next_packets: List[Packet] = []
             for item in packets:
                 next_packets.extend(flt(item))
             packets = next_packets
         for item in packets:
-            self.network.send_from(self, item)
+            network.send_from(self, item)
 
     def receive(self, packet: Packet) -> None:
-        """Handle a packet delivered off the wire."""
+        """Handle a packet delivered off the wire.
+
+        With no filter installed the demux gets ``packet`` itself.
+        """
         if not packet.checksums_ok():
             # Real stacks silently discard corrupted segments; censors that
             # skip validation still saw this packet on the path.
@@ -195,7 +203,7 @@ class Host:
                     self.scheduler.now, "drop", self.name, packet, "bad checksum"
                 )
             return
-        packets = [packet]
+        packets = (packet,)
         for flt in self.inbound_filters:
             next_packets: List[Packet] = []
             for item in packets:

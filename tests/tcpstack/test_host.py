@@ -99,3 +99,32 @@ class TestFilters:
         ep.connect()
         pair.run()
         assert "S" in seen
+
+
+class TestNoFilters:
+    """A host without filters passes each packet on as the very same object."""
+
+    def test_transmit_hands_the_packet_itself_to_the_network(
+        self, linked_hosts, monkeypatch
+    ):
+        pair = linked_hosts()
+        sent = []
+        monkeypatch.setattr(
+            pair.network, "send_from", lambda node, packet: sent.append((node, packet))
+        )
+        packet = make_tcp_packet("10.0.0.1", "10.0.0.2", 5000, 80)
+        pair.client.transmit(packet)
+        assert len(sent) == 1
+        assert sent[0][0] is pair.client
+        assert sent[0][1] is packet
+
+    def test_receive_hands_the_packet_itself_to_the_demux(
+        self, linked_hosts, monkeypatch
+    ):
+        pair = linked_hosts()
+        seen = []
+        monkeypatch.setattr(pair.server, "_demux", seen.append)
+        packet = make_tcp_packet("10.0.0.1", "10.0.0.2", 5000, 80)
+        pair.server.receive(packet)
+        assert len(seen) == 1
+        assert seen[0] is packet
