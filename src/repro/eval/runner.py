@@ -54,6 +54,7 @@ __all__ = [
     "install_server_app",
     "make_client_app",
     "middlebox_chain",
+    "reseed_rngs",
     "trial_rngs",
     "TrialRngs",
 ]
@@ -155,10 +156,21 @@ def trial_rngs(seed: int) -> TrialRngs:
 
     The split is part of every recorded trace. A fleet flow with trial
     seed ``s`` uses it too, so it draws the same numbers, in the same
-    order, as ``Trial(seed=s)``; :meth:`Trial.reseed` re-seeds a built
-    trial's streams from the same split.
+    order, as ``Trial(seed=s)``; :func:`reseed_rngs` re-seeds built
+    streams from the same split.
     """
     return TrialRngs(*map(random.Random, _stream_seeds(seed)))
+
+
+def reseed_rngs(rngs: TrialRngs, seed: int) -> None:
+    """Re-seed ``rngs`` in place to the streams ``trial_rngs(seed)`` makes.
+
+    Every component holding one of the streams keeps it. A re-seeded
+    trial (:meth:`Trial.reseed`) and a fleet flow admitted into a parked
+    world slice both re-seed this way.
+    """
+    for rng, stream_seed in zip(rngs, _stream_seeds(seed)):
+        rng.seed(stream_seed)
 
 
 def middlebox_chain(
@@ -411,8 +423,7 @@ class Trial:
         whose :meth:`run` returned may be re-seeded: one that raised
         may have left state half-updated.
         """
-        for rng, stream_seed in zip(self.rngs, _stream_seeds(seed)):
-            rng.seed(stream_seed)
+        reseed_rngs(self.rngs, seed)
         if self.net_rng is not None:
             self.net_rng.seed(self._net_stream_seed(seed))
         self.scheduler.reset()

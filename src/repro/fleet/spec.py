@@ -140,6 +140,11 @@ class FlowPlan:
         """The flow's ``country/protocol`` label (``none`` if uncensored)."""
         return f"{self.country or 'none'}/{self.protocol}"
 
+    def shape(self) -> Tuple[Optional[str], str, str]:
+        """``(country, protocol, client_os)``: flows of one shape can share
+        a world slice, one at a time."""
+        return (self.country, self.protocol, self.client_os)
+
 
 @dataclass(frozen=True)
 class FleetSpec:

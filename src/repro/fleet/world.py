@@ -4,9 +4,10 @@ A :class:`FleetWorld` holds a single :class:`~repro.netsim.flows.FlowScheduler`
 driving one shared, strategy-deploying server host and an arrival stream
 of per-flow world slices. Each admitted flow gets the topology a
 :class:`~repro.eval.runner.Trial` builds, from the same helpers in
-:mod:`repro.eval.runner` — its own client host, censor instance, padded
-middlebox chain, client app and per-flow trace — wired to the *shared*
-server through a :class:`~repro.netsim.flows.FlowRouter`.
+:mod:`repro.eval.runner` — its own RNG streams, client host, censor
+instance and padded middlebox chain (its slice), plus a client app and
+a per-flow trace — wired to the *shared* server through a
+:class:`~repro.netsim.flows.FlowRouter`.
 
 Single-flow equivalence is the design invariant: for a world with one
 flow arriving at t=0, every event (timestamps, RNG draws, trace lines)
@@ -38,7 +39,15 @@ server. The pieces that make that hold with *many* flows:
 Recycling on FIN/RST/timeout: endpoints leave the shared server's demux
 table as they close (pruning the server apps' connection lists), and
 once a finalized flow has drained the router entry, engine decisions,
-and packet-arena lease are all returned.
+and packet-arena lease are all returned. Its slice is reset (client
+host, every middlebox) and parked under the flow's shape ``(country,
+protocol, client_os)``, holding nothing of the flow. A flow of that
+shape is admitted into a parked slice when there is one: its streams
+are re-seeded in place from the flow's trial seed
+(:func:`~repro.eval.runner.reseed_rngs`, as ``Trial.reseed`` does) and
+its client host takes the flow's address and resets again, so the
+slice draws what a newly built one would. A shape never has more
+slices than it had flows in flight at once.
 """
 
 from __future__ import annotations
@@ -56,11 +65,13 @@ from ..eval.runner import (
     make_censor,
     make_client_app,
     middlebox_chain,
+    reseed_rngs,
     trial_rngs,
 )
 from ..netsim import Network, NullTrace, RingTrace, Trace
 from ..netsim.flows import FlowHandle, FlowRouter, FlowScheduler
 from ..obs.metrics import Counter
+from ..packets.ipv6 import canonical_ip
 from ..packets.pool import PacketArena
 from ..runtime.seeds import fleet_stream_seed
 from ..tcpstack import Host, SERVER_PERSONALITY, personality
@@ -89,30 +100,65 @@ def fleet_selector() -> GeoStrategySelector:
     return selector
 
 
+class _Slice:
+    """A flow's world slice: its streams, client host, censor and network.
+
+    Built for a flow from the helpers ``Trial.__init__`` calls; between
+    flows of one shape it is parked by :meth:`park` and taken again by
+    :meth:`admit`.
+    """
+
+    __slots__ = ("rngs", "client_host", "censor", "network")
+
+    def __init__(
+        self, plan: FlowPlan, scheduler: FlowScheduler, server: Host, trace: Trace
+    ) -> None:
+        self.rngs = rngs = trial_rngs(plan.seed)
+        self.client_host = Host(
+            "client", plan.client_ip, scheduler, rngs.client, personality(plan.client_os)
+        )
+        self.censor = make_censor(plan.country, rngs.censor)
+        self.network = Network(
+            scheduler, self.client_host, server, middlebox_chain(self.censor), trace=trace
+        )
+        self.client_host.attach(self.network)
+
+    def park(self) -> None:
+        """Drop the last flow's endpoints, per-run middlebox state and trace."""
+        self.client_host.reset()
+        for box in self.network.middleboxes:
+            box.reset()
+        self.network.trace = NullTrace()
+
+    def admit(self, plan: FlowPlan, trace: Trace) -> None:
+        """Make this parked slice the one ``_Slice(plan, ...)`` would build.
+
+        The client host's reset follows the re-seed: its ephemeral-port
+        draw is the first draw on its stream.
+        """
+        reseed_rngs(self.rngs, plan.seed)
+        host = self.client_host
+        host.ip = canonical_ip(plan.client_ip)
+        host.reset()
+        self.network.trace = trace
+
+
 class _LiveFlow:
     """Mutable state of one admitted, not-yet-recycled flow."""
 
     __slots__ = (
         "plan",
         "handle",
-        "server_rng",
-        "strategy_rng",
-        "client_host",
-        "censor",
-        "network",
+        "slice",
         "client_app",
         "outcome_time",
         "server_endpoints",
     )
 
-    def __init__(self, plan: FlowPlan, handle: FlowHandle) -> None:
+    def __init__(self, plan: FlowPlan, handle: FlowHandle, world_slice: _Slice) -> None:
         self.plan = plan
         self.handle = handle
-        self.server_rng: Optional[random.Random] = None
-        self.strategy_rng: Optional[random.Random] = None
-        self.client_host: Optional[Host] = None
-        self.censor = None
-        self.network: Optional[Network] = None
+        self.slice = world_slice
         self.client_app = None
         self.outcome_time: Optional[float] = None
         #: The flow's open server endpoints, in accept order (values unused).
@@ -182,6 +228,8 @@ class FleetWorld:
             self.server_apps[app.port] = app
 
         self._flows: Dict[str, _LiveFlow] = {}
+        # Slices of recycled flows, by FlowPlan.shape().
+        self._parked: Dict[tuple, List[_Slice]] = {}
         # Admitted, not yet recycled flows whose deadline has not fired,
         # oldest first (client ip -> deadline), and whether the one
         # deadline event is queued.
@@ -199,13 +247,13 @@ class FleetWorld:
     def _server_rng_for(self, key) -> Optional[random.Random]:
         """Per-flow server stream for a passive open (keyed by client ip)."""
         flow = self._flows.get(key[0])
-        return flow.server_rng if flow is not None else None
+        return flow.slice.rngs.server if flow is not None else None
 
     def _strategy_rng_for(self, client_ip: str) -> random.Random:
         """Per-flow strategy stream for the per-client engine."""
         flow = self._flows.get(client_ip)
-        if flow is not None and flow.strategy_rng is not None:
-            return flow.strategy_rng
+        if flow is not None:
+            return flow.slice.rngs.strategy
         return self.engine.rng  # stray packet after recycle; never drawn in practice
 
     def _endpoint_accepted(self, endpoint) -> None:
@@ -252,43 +300,31 @@ class FleetWorld:
         )
 
     def _admit(self, plan: FlowPlan, handle: FlowHandle) -> None:
-        """Build the flow's world slice (runs bound to the flow)."""
+        """Give the flow a world slice and start it (runs bound to the flow).
+
+        The slice is a parked one of the flow's shape if there is one,
+        else a new one.
+        """
         self._schedule_next_arrival()
 
-        rngs = trial_rngs(plan.seed)
-        client_host = Host(
-            "client",
-            plan.client_ip,
-            self.scheduler,
-            rngs.client,
-            personality(plan.client_os),
-        )
-        censor = make_censor(plan.country, rngs.censor)
-        network = Network(
-            self.scheduler,
-            client_host,
-            self.server_host,
-            middlebox_chain(censor),
-            trace=handle.trace,
-        )
-        client_host.attach(network)
-        self.router.register(plan.client_ip, network)
+        parked = self._parked.get(plan.shape())
+        if parked:
+            world_slice = parked.pop()
+            world_slice.admit(plan, handle.trace)
+        else:
+            world_slice = _Slice(plan, self.scheduler, self.server_host, handle.trace)
+        self.router.register(plan.client_ip, world_slice.network)
         # Mirror the server-host construction draw a dedicated trial
         # makes: Host.__init__ consumes randrange(1000) for its ephemeral
         # port base. The shared server host was built long ago, so the
         # flow's server stream performs the draw here instead.
-        rngs.server.randrange(1000)
+        world_slice.rngs.server.randrange(1000)
 
-        flow = _LiveFlow(plan, handle)
-        flow.server_rng = rngs.server
-        flow.strategy_rng = rngs.strategy
-        flow.client_host = client_host
-        flow.censor = censor
-        flow.network = network
+        flow = _LiveFlow(plan, handle, world_slice)
         self._flows[plan.client_ip] = flow
 
         client_app = make_client_app(
-            client_host,
+            world_slice.client_host,
             plan.country,
             plan.protocol,
             SERVER_IP,
@@ -357,6 +393,7 @@ class FleetWorld:
         """Freeze the verdict, record the flow, and begin recycling."""
         plan = flow.plan
         app = flow.client_app
+        censor = flow.slice.censor
         outcome = app.outcome or "timeout"
         country = plan.country or "none"
         strategy_hit = any(
@@ -378,7 +415,7 @@ class FleetWorld:
             "outcome": outcome,
             "succeeded": app.succeeded,
             "censored": (
-                flow.censor.censorship_events > 0 if flow.censor is not None else False
+                censor.censorship_events > 0 if censor is not None else False
             ),
             "strategy": (
                 self.selector.table.get((plan.country, plan.protocol))
@@ -406,7 +443,8 @@ class FleetWorld:
             self.on_flow_done(self, record)
 
     def _recycle(self, handle: FlowHandle) -> None:
-        """Return all per-flow state once the finalized flow has drained."""
+        """Return all per-flow state once the finalized flow has drained,
+        and park the flow's slice for the next flow of its shape."""
         flow = self._flows.pop(handle.client_ip, None)
         self._open.pop(handle.client_ip, None)
         self.router.unregister(handle.client_ip)
@@ -415,8 +453,9 @@ class FleetWorld:
             handle.arena.reclaim()
             handle.arena = None
         if flow is not None:
-            flow.network = None
-            flow.client_host = None
+            flow.slice.park()
+            self._parked.setdefault(flow.plan.shape(), []).append(flow.slice)
+            flow.slice = None
             flow.client_app = None
         self.recycled += 1
         _FLEET_RECYCLED.inc()

@@ -54,8 +54,10 @@ class PathContext:
         self._network.inject_from(self._position, packet.copy(), toward, self.name)
 
     def record(self, kind: str, packet: Packet = None, detail: str = "") -> None:
-        """Record an event in the trial's trace."""
-        self._network.trace.record(self.now, kind, self.name, packet, detail)
+        """Record an event in the trial's trace (if it is recording)."""
+        trace = self._network.trace
+        if trace.recording:
+            trace.record(self._network.scheduler.now, kind, self.name, packet, detail)
 
 
 class Middlebox:

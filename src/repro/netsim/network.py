@@ -14,6 +14,7 @@ import random
 import time
 from typing import Optional, Protocol, Sequence, Tuple
 
+from ..obs import metrics as _metrics
 from ..obs import spans as _spans
 from ..obs.metrics import Counter
 from ..packets import Packet
@@ -25,7 +26,8 @@ from .trace import Trace
 __all__ = ["Network", "NetworkNode"]
 
 #: Wire-level packet events. Prebound per event kind: these fire once
-#: per packet, so each increment must stay a single dict operation.
+#: per packet, so each increment must stay a single dict operation, and
+#: the send and recv call sites skip it outside ``collecting()``.
 _NET_PACKETS = Counter(
     "repro_net_packets_total",
     "Packets handled by the network path, by event",
@@ -153,7 +155,8 @@ class Network:
             start = len(self.middleboxes) - 1
         else:
             raise ValueError(f"unknown endpoint {node!r}")
-        _PKT_SEND.inc()
+        if _metrics.COLLECTING:
+            _PKT_SEND.inc()
         trace = self.trace
         if trace.recording:
             trace.record(self.scheduler.now, "send", node.name, packet)
@@ -162,7 +165,9 @@ class Network:
     def inject_from(self, position: int, packet: Packet, toward: str, name: str) -> None:
         """Inject ``packet`` at middlebox ``position`` heading ``toward`` an end."""
         _PKT_INJECT.inc()
-        self.trace.record(self.scheduler.now, "inject", name, packet, f"toward {toward}")
+        trace = self.trace
+        if trace.recording:
+            trace.record(self.scheduler.now, "inject", name, packet, f"toward {toward}")
         if toward == "server":
             direction = DIRECTION_C2S
             start = position + 1
@@ -232,7 +237,9 @@ class Network:
     def _drop_expired(self, packet: Packet, label: str) -> None:
         """Record a TTL-expiry drop inside a coalesced run of inert hops."""
         _PKT_DROP.inc()
-        self.trace.record(self.scheduler.now, "drop", label, packet, "ttl expired")
+        trace = self.trace
+        if trace.recording:
+            trace.record(self.scheduler.now, "drop", label, packet, "ttl expired")
 
     def _schedule_impaired_hop(
         self, imp: Impairment, packet: Packet, direction: str, index: int, ttl: int
@@ -290,9 +297,11 @@ class Network:
             next_index = index - 1
         if ttl < 1:
             _PKT_DROP.inc()
-            self.trace.record(
-                self.scheduler.now, "drop", f"hop{index}", packet, "ttl expired"
-            )
+            trace = self.trace
+            if trace.recording:
+                trace.record(
+                    self.scheduler.now, "drop", f"hop{index}", packet, "ttl expired"
+                )
             return
         box = self.middleboxes[index]
         ctx = self._contexts[index]
@@ -304,19 +313,23 @@ class Network:
             forwarded = list(box.process(packet, direction, ctx))
         if not forwarded:
             _PKT_DROP.inc()
-            self.trace.record(self.scheduler.now, "drop", ctx.name, packet, "dropped in-path")
+            trace = self.trace
+            if trace.recording:
+                trace.record(self.scheduler.now, "drop", ctx.name, packet, "dropped in-path")
             return
         for out in forwarded:
             self._schedule_hop(out, direction, next_index, ttl - 1)
 
     def _deliver(self, packet: Packet, direction: str, ttl: int) -> None:
         node = self.server if direction == DIRECTION_C2S else self.client
+        trace = self.trace
         if ttl < 1:
             _PKT_DROP.inc()
-            self.trace.record(self.scheduler.now, "drop", node.name, packet, "ttl expired")
+            if trace.recording:
+                trace.record(self.scheduler.now, "drop", node.name, packet, "ttl expired")
             return
-        _PKT_RECV.inc()
-        trace = self.trace
+        if _metrics.COLLECTING:
+            _PKT_RECV.inc()
         if trace.recording:
             trace.record(self.scheduler.now, "recv", node.name, packet)
         if _spans.ENABLED:

@@ -47,6 +47,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
+    "COLLECTING",
     "Counter",
     "Gauge",
     "Histogram",
@@ -290,9 +291,13 @@ def merge_snapshots(*snapshots: Mapping[str, Any]) -> Dict[str, Any]:
 
 _DEFAULT = MetricsRegistry()
 _STACK: List[MetricsRegistry] = [_DEFAULT]
-#: Number of live ``collecting()`` scopes. Handles drop increments when
-#: zero, so uninstrumented runs pay one global check per event.
+#: Number of live ``collecting()`` scopes.
 _DEPTH = 0
+#: True while any ``collecting()`` scope is live. Handles drop increments
+#: when it is false, so uninstrumented runs pay one global check per
+#: event; per-packet call sites read it as a module attribute, as they
+#: read ``obs.spans.ENABLED``, and skip the handle call altogether.
+COLLECTING = False
 
 
 def default_registry() -> MetricsRegistry:
@@ -309,7 +314,7 @@ def active_registry() -> MetricsRegistry:
 
 def is_collecting() -> bool:
     """Whether at least one ``collecting()`` scope is active."""
-    return _DEPTH > 0
+    return COLLECTING
 
 
 @contextmanager
@@ -324,14 +329,16 @@ def collecting(
     while workers wrap individual trials. Entering a scope also arms
     recording itself — outside any scope, handles drop increments.
     """
-    global _DEPTH
+    global _DEPTH, COLLECTING
     reg = registry if registry is not None else MetricsRegistry()
     _STACK.append(reg)
     _DEPTH += 1
+    COLLECTING = True
     try:
         yield reg
     finally:
         _DEPTH -= 1
+        COLLECTING = _DEPTH > 0
         _STACK.pop()
 
 
@@ -398,7 +405,7 @@ class Counter(_Metric):
 
     def inc(self, amount=1, **labels: Any) -> None:
         """Add ``amount`` to this counter (dropped outside collection)."""
-        if not _DEPTH:
+        if not COLLECTING:
             return
         _STACK[-1]._inc(self._family, _label_key(self._family, labels), amount)
 
@@ -418,7 +425,7 @@ class BoundCounter:
 
     def inc(self, amount=1) -> None:
         """Add ``amount`` under the prebound labels (hot-path variant)."""
-        if not _DEPTH:
+        if not COLLECTING:
             return
         _STACK[-1]._inc(self._family, self._key, amount)
 
@@ -442,7 +449,7 @@ class Gauge(_Metric):
 
     def set(self, value, **labels: Any) -> None:
         """Record ``value`` (merged under the declared aggregation)."""
-        if not _DEPTH:
+        if not COLLECTING:
             return
         _STACK[-1]._gauge(self._family, _label_key(self._family, labels), value)
 
@@ -469,7 +476,7 @@ class Histogram(_Metric):
 
     def observe(self, value, **labels: Any) -> None:
         """Count ``value`` into its bucket and the running sum/count."""
-        if not _DEPTH:
+        if not COLLECTING:
             return
         _STACK[-1]._observe(
             self._family, _label_key(self._family, labels), value

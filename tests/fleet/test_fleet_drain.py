@@ -5,8 +5,10 @@ deadline, so the world finalizes and recycles it on the spot; only a
 flow still busy at ``arrival + max_time`` waits for the deadline. These
 tests pin that the artifact is unchanged, that flows in flight no
 longer pile up for the whole horizon, that a cut-off flow still matches
-a ``Trial`` with the same horizon, and that a retired flow's world is
-released well before its deadline.
+a ``Trial`` with the same horizon, that what a retired flow kept of its
+own (its client app, and through it its endpoints and callbacks) is
+released well before its deadline, and that the world slice it leaves
+parked holds nothing of it.
 """
 
 from __future__ import annotations
@@ -111,46 +113,82 @@ def test_cut_off_flow_matches_trial_at_the_same_horizon(country, protocol):
     assert world.server_host.endpoints() == []
 
 
-def test_drained_world_is_released_before_its_deadline():
+def flow_refs(flow):
+    """Weak references to what a flow keeps of its own: its client app
+    and the app's endpoint. (Its world slice is parked on purpose.)"""
+    app = flow.client_app
+    return [weakref.ref(app), weakref.ref(app.endpoint)]
+
+
+def test_drained_flow_is_released_before_its_deadline():
     spec = FleetSpec(clients=30, seed=1, spacing=1.0)
     watched = {}
     checked = []
 
     def done(world, record):
         flow = world._flows.get(record["client_ip"])
-        if not watched and flow is not None and flow.censor is not None:
+        if not watched and flow is not None and flow.slice.censor is not None:
             # Finalized at drain time, long before its deadline.
             assert world.scheduler.now < record["arrival"] + spec.max_time / 4
             watched.update(
-                censor=weakref.ref(flow.censor), deadline=record["arrival"] + spec.max_time
+                refs=flow_refs(flow), deadline=record["arrival"] + spec.max_time
             )
             return
         if watched and not checked and world.scheduler.now > watched["deadline"] - 20:
             assert world.scheduler.now < watched["deadline"]
             gc.collect()
-            checked.append(watched["censor"]() is None)
+            checked.append([ref() for ref in watched["refs"]] == [None, None])
 
     FleetWorld(spec, on_flow_done=done).run()
     assert checked == [True]
 
 
-def test_cancelled_timers_do_not_pin_a_retired_world():
+def test_cancelled_timers_do_not_pin_a_retired_flow():
     """Flow 1 drains at 1.75 s, but its client cancelled an 8 s app timer
     whose heap entry stays queued until t=9: the entry must not keep the
-    flow's callback, and through it the flow's host, network and censor."""
+    flow's callback, and through it the flow's client app and endpoint."""
     spec = FleetSpec(clients=30, seed=1, spacing=1.0)
-    censor = {}
+    refs = []
     checked = []
 
     def done(world, record):
         if record["flow"] == 1:
-            censor["ref"] = weakref.ref(world._flows[record["client_ip"]].censor)
+            refs.extend(flow_refs(world._flows[record["client_ip"]]))
         elif record["flow"] == 2:
             gc.collect()
-            checked.append(censor["ref"]() is None)
+            checked.append([ref() for ref in refs] == [None, None])
 
     FleetWorld(spec, on_flow_done=done).run()
     assert checked == [True]
+
+
+class ShapeWatchingWorld(FleetWorld):
+    """Records each shape's peak number of flows in flight."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.peak_in_flight = {}
+
+    def _admit(self, plan, handle):
+        super()._admit(plan, handle)
+        shape = plan.shape()
+        in_flight = sum(flow.plan.shape() == shape for flow in self._flows.values())
+        self.peak_in_flight[shape] = max(self.peak_in_flight.get(shape, 0), in_flight)
+
+
+def test_parked_slices_hold_nothing_of_their_flows(dense_run):
+    world = ShapeWatchingWorld(DENSE_SPEC)
+    assert world.run() == dense_run[0].records
+    assert world.active_flows == 0
+    assert sorted(world._parked, key=str) == sorted(world.peak_in_flight, key=str)
+    for shape, parked in world._parked.items():
+        assert 1 <= len(parked) <= world.peak_in_flight[shape]
+        for piece in parked:
+            assert piece.client_host.endpoints() == []
+            if piece.censor is not None:
+                assert piece.censor.censorship_events == 0
+    reused = world.admitted - sum(len(parked) for parked in world._parked.values())
+    assert reused > world.admitted // 2
 
 
 def test_at_most_one_deadline_entry_is_queued():

@@ -12,6 +12,8 @@ from repro.netsim import (
     Scheduler,
     TransparentTap,
 )
+from repro.obs import metrics
+from repro.obs.metrics import active_registry, collecting
 from repro.packets import Packet, make_tcp_packet
 
 
@@ -207,3 +209,35 @@ class TestTrace:
         original.tcp.seq = 424242
         sched.run()
         assert net.trace.events[0].packet.tcp.seq != 424242
+
+
+class TestPacketCounters:
+    """Per-packet counts are taken only while ``metrics.COLLECTING``."""
+
+    def exchange(self):
+        sched, client, server, net = build([Middlebox()])
+        net.send_from(client, pkt())
+        net.send_from(server, pkt(src="10.0.0.2", dst="10.0.0.1", flags="SA"))
+        net.send_from(client, pkt(ttl=1))  # expires before the server
+        sched.run()
+
+    def test_counts_land_inside_a_scope(self):
+        with collecting() as reg:
+            self.exchange()
+        counts = [
+            reg.value("repro_net_packets_total", event=event)
+            for event in ("send", "recv", "drop")
+        ]
+        assert counts == [3, 2, 1]
+
+    def test_flag_is_false_after_a_scope_that_raised(self):
+        with pytest.raises(RuntimeError):
+            with collecting():
+                with collecting():
+                    assert metrics.COLLECTING
+                assert metrics.COLLECTING
+                raise RuntimeError("boom")
+        assert not metrics.COLLECTING
+        before = active_registry().snapshot()
+        self.exchange()
+        assert active_registry().snapshot() == before
