@@ -118,7 +118,7 @@ def _run_shard(
         executor.metrics = obs_metrics.MetricsRegistry()
         try:
             results = executor.run_batch(specs)
-        except Exception as exc:  # worker death, trial bug, ...
+        except Exception as exc:  # BrokenProcessPool, trial bug, ...
             last_error = exc
             ledger.journal(
                 "shard_attempt_failed",

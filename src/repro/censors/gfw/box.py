@@ -33,6 +33,7 @@ import random
 from typing import Callable, Dict, Optional, Tuple
 
 from ...netsim import DIRECTION_C2S, PathContext
+from ...obs import metrics as _metrics
 from ...obs.metrics import Counter
 from ...packets import TCP, Packet
 from ..base import Censor, FlowKey, flow_key
@@ -276,7 +277,8 @@ class ProtocolBox:
         if fired and tcb.mode == MODE_TRACKING:
             tcb.mode = MODE_RESYNC
             tcb.resync_target = RESYNC_TARGETS[event]
-            _RESYNC_EVENTS.inc(protocol=self.profile.protocol, event=event)
+            if _metrics.COLLECTING:
+                _RESYNC_EVENTS.inc(protocol=self.profile.protocol, event=event)
 
     def _draw(self, event: str, tcb: FlowTCB) -> bool:
         """Whether ``event`` puts the box into resync.

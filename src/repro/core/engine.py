@@ -13,6 +13,7 @@ import random
 import time
 from typing import List, Optional
 
+from ..obs import metrics as _metrics
 from ..obs import spans as _spans
 from ..obs.metrics import Counter
 from ..packets import Packet
@@ -70,7 +71,8 @@ class StrategyEngine:
         result = self._timed_apply(self.strategy.apply_outbound, packet)
         if len(result) != 1 or result[0] is not packet:
             self.packets_intercepted += 1
-            _STRATEGY_INTERCEPTS.inc(direction="outbound")
+            if _metrics.COLLECTING:
+                _STRATEGY_INTERCEPTS.inc(direction="outbound")
         return result
 
     def inbound_filter(self, packet: Packet) -> List[Packet]:

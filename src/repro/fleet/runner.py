@@ -1,8 +1,9 @@
 """Fleet execution: serial runs, worker sharding, metric folding.
 
 :func:`run_fleet` is the one entry point: build the spec's flow plans,
-simulate them (in-process, or round-robin across a process pool), and
-reduce the per-flow records into :class:`~repro.fleet.stats.FleetStats`.
+simulate them (in-process, or round-robin across a process pool, where a
+lost worker raises ``BrokenProcessPool``), and reduce the per-flow
+records into :class:`~repro.fleet.stats.FleetStats`.
 
 Sharding leans on flow isolation: a flow's record is a pure function of
 its :class:`~repro.fleet.spec.FlowPlan` (the world slices share nothing
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from ..obs.metrics import Histogram, active_registry, collecting, is_collecting
+from ..runtime.executor import process_pool
 from .spec import FleetSpec
 from .stats import FleetStats
 from .world import FleetWorld
@@ -114,16 +116,8 @@ def _run_sharded(spec: FleetSpec, workers: int) -> List[dict]:
         }
         for index in range(workers)
     ]
-    try:
-        import multiprocessing
-
-        from ..runtime.executor import _preferred_start_method
-
-        context = multiprocessing.get_context(_preferred_start_method())
-        with context.Pool(processes=workers) as pool:
-            shards = pool.map(_run_shard, payloads, chunksize=1)
-    except (ImportError, OSError):  # pragma: no cover - no fork/spawn support
-        shards = [_run_shard(payload) for payload in payloads]
+    with process_pool(workers) as pool:
+        shards = list(pool.map(_run_shard, payloads))
 
     records: List[dict] = []
     for shard_records, snapshot in shards:

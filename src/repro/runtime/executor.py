@@ -6,12 +6,12 @@ submission order. Three properties are load-bearing:
 
 - **Determinism** — every spec carries its own seed, so results do not
   depend on worker count, scheduling, or completion order. The
-  ``workers=1`` path runs in-process with no multiprocessing machinery
-  at all (and is also the fallback on platforms without ``fork`` when
-  ``spawn`` is unavailable).
-- **Parallelism** — ``workers>1`` fans specs out over a process pool.
-  Trials are embarrassingly parallel (independent seeds, discrete-event
-  simulation), so speedup tracks available cores.
+  ``workers=1`` path runs in-process and never imports multiprocessing.
+- **Parallelism** — ``workers>1`` fans specs out over one lazily made
+  :func:`process_pool`; a worker lost mid-batch raises
+  ``BrokenProcessPool`` at once. Trials are embarrassingly parallel
+  (independent seeds, discrete-event simulation), so speedup tracks
+  available cores.
 - **Caching** — an optional :class:`~repro.runtime.cache.ResultCache` is
   consulted once per batch before execution; hits skip the trial
   entirely and the misses' results are stored back in one call once the
@@ -31,7 +31,6 @@ structured record per trial in submission order.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -46,7 +45,7 @@ from .cache import ResultCache, payload_result, result_payload, resolve_cache
 from .cell import CellSpec
 from .spec import ShardWorld, TrialSpec
 
-__all__ = ["RunStats", "TrialExecutor"]
+__all__ = ["RunStats", "TrialExecutor", "process_pool"]
 
 #: Batch-level trial accounting. Deterministic: a batch of N specs always
 #: requests N and splits them the same way between cache and execution.
@@ -252,12 +251,18 @@ def _execute_shard(payload: Dict[str, Any]) -> Dict[str, Any]:
     return {"results": outs, "_pid": os.getpid(), "_metrics": snapshot}
 
 
-def _preferred_start_method() -> Optional[str]:
-    methods = multiprocessing.get_all_start_methods()
-    for method in ("fork", "forkserver", "spawn"):
-        if method in methods:
-            return method
-    return None
+def process_pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers``: src's one pool constructor.
+
+    Workers start with ``fork`` where the platform has it, else with its
+    default method. A dead worker fails every unfinished task with
+    ``BrokenProcessPool``. The imports stay local: serial runs skip them.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    method = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context(method))
 
 
 class TrialExecutor:
@@ -269,8 +274,6 @@ class TrialExecutor:
         cache: ``None`` (off), ``True`` (disk store under
             ``.repro_cache/``), a directory path, or a
             :class:`ResultCache` instance.
-        start_method: Force a multiprocessing start method (tests);
-            default picks ``fork`` where available.
         collect_metrics: Collect per-trial metric snapshots (from
             workers or in-process) into :attr:`metrics`, an executor-
             owned registry. Off by default so unmeasured runs pay
@@ -279,19 +282,20 @@ class TrialExecutor:
             trial (including cache hits) is recorded in submission
             order.
 
-    The worker pool is created lazily on the first parallel batch and
-    **reused** across batches, so callers that issue many small batches
-    through one executor (a GA scores one batch per generation) pay pool
-    start-up once, not per call. Call :meth:`close` — or use the executor
-    as a context manager — to tear the pool down deterministically;
-    otherwise it is reclaimed with the executor.
+    The worker pool (:func:`process_pool`) is created lazily on the first
+    parallel batch and **reused** across batches, so callers that issue
+    many small batches through one executor (a GA scores one batch per
+    generation) pay pool start-up once, not per call. Call :meth:`close`
+    — or use the executor as a context manager — to shut it down
+    deterministically. A lost worker raises ``BrokenProcessPool``, caches
+    nothing and drops the pool, so the next batch starts a fresh one; a
+    trial that raises in a worker surfaces its own error and keeps the pool.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache=None,
-        start_method: Optional[str] = None,
         collect_metrics: bool = False,
         runlog: Optional[RunLog] = None,
     ) -> None:
@@ -299,7 +303,6 @@ class TrialExecutor:
             raise ValueError("workers must be >= 1")
         self.workers = workers
         self.cache: Optional[ResultCache] = resolve_cache(cache)
-        self._start_method = start_method
         self._pool = None
         self.last_stats = RunStats()
         self.total_stats = RunStats()
@@ -316,8 +319,7 @@ class TrialExecutor:
     def close(self) -> None:
         """Tear down the worker pool (idempotent)."""
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            self._pool.shutdown(cancel_futures=True)
             self._pool = None
 
     def __enter__(self) -> "TrialExecutor":
@@ -325,12 +327,6 @@ class TrialExecutor:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
 
@@ -395,10 +391,8 @@ class TrialExecutor:
                     else:
                         stats.single += count
                         _EXEC_DISPATCH.inc(count, mode="single")
-                if self.workers == 1 or len(pending) == 1:
-                    chunks = shards
-                    stats.workers = 1
-                else:
+                pooled = self.workers > 1 and len(pending) > 1
+                if pooled:
                     # Re-chunk large shards for pool load balance; this
                     # only changes which worker runs what, never results
                     # or the dispatch accounting above.
@@ -407,6 +401,9 @@ class TrialExecutor:
                     for positions in shards:
                         for i in range(0, len(positions), chunk_size):
                             chunks.append(positions[i : i + chunk_size])
+                else:
+                    chunks = shards
+                    stats.workers = 1
                 payloads = []
                 for positions in chunks:
                     base = specs[positions[0]].as_dict()
@@ -418,10 +415,10 @@ class TrialExecutor:
                     if collect:
                         payload["_collect"] = True
                     payloads.append(payload)
-                if self.workers == 1 or len(pending) == 1:
-                    shard_outs = [_execute_shard(payload) for payload in payloads]
-                else:
+                if pooled:
                     shard_outs = self._run_pool(payloads)
+                else:
+                    shard_outs = [_execute_shard(payload) for payload in payloads]
                 for positions, shard_out in zip(chunks, shard_outs):
                     pid = str(shard_out.get("_pid", os.getpid()))
                     worker = self._worker_ordinal(pid)
@@ -505,18 +502,15 @@ class TrialExecutor:
             )
         return line
 
-    def _get_pool(self):
-        if self._pool is None:
-            method = self._start_method or _preferred_start_method()
-            if method is None:  # no multiprocessing at all on this platform
-                return None
-            context = multiprocessing.get_context(method)
-            self._pool = context.Pool(processes=self.workers)
-        return self._pool
-
     def _run_pool(self, payloads: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
-        pool = self._get_pool()
-        if pool is None:
-            return [_execute_shard(payload) for payload in payloads]
-        # Payloads are already chunked for balance by the caller.
-        return pool.map(_execute_shard, payloads, chunksize=1)
+        from concurrent.futures.process import BrokenProcessPool
+
+        if self._pool is None:
+            self._pool = process_pool(self.workers)
+        try:
+            # Payloads are already chunked for balance by the caller.
+            return list(self._pool.map(_execute_shard, payloads))
+        except BrokenProcessPool:
+            # A broken pool refuses all further work.
+            self.close()
+            raise

@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from typing import Callable, Dict, Optional
 
+from ..obs import metrics as _metrics
 from ..obs.metrics import Counter
 from ..packets import TCP, Packet, make_tcp_packet
 from . import states
@@ -550,12 +551,14 @@ class TCPEndpoint:
         if nothing_outstanding:
             return
         self._retx_count += 1
-        _TCP_RTO_BACKOFFS.inc(personality=self.personality.name)
+        if _metrics.COLLECTING:
+            _TCP_RTO_BACKOFFS.inc(personality=self.personality.name)
         if self._retx_count > self._retx_limit():
             self._fail("retransmission limit exceeded")
             return
         self.retransmits_sent += 1
-        _TCP_RETRANSMITS.inc(personality=self.personality.name, state=self.state)
+        if _metrics.COLLECTING:
+            _TCP_RETRANSMITS.inc(personality=self.personality.name, state=self.state)
         if self.state == states.SYN_SENT:
             self._emit("S", seq=self.iss, ack=0, options=self._syn_options())
         elif self.state == states.SYN_RCVD:

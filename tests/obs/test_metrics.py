@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import deployed_strategy
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -23,6 +24,7 @@ from repro.obs.metrics import (
     merge_snapshots,
     parse_label_key,
 )
+from repro.runtime import TrialSpec, trial_seed
 
 # Families for these tests (schemas are process-global; re-declaring
 # identically is idempotent, so module-level declaration is safe).
@@ -131,6 +133,30 @@ class TestGating:
             with collecting():
                 raise RuntimeError("boom")
         assert not is_collecting()
+
+    def test_guarded_trial_counters_count_inside_a_scope(self):
+        # These call sites test COLLECTING before building their labels.
+        names = (
+            "repro_tcp_rto_backoffs_total",
+            "repro_tcp_retransmits_total",
+            "repro_strategy_intercepts_total",
+            "repro_gfw_resync_total",
+        )
+        strategy = deployed_strategy(1)
+        specs = [
+            TrialSpec.build("china", "http", strategy, seed=trial_seed(0, index))
+            for index in range(4)
+        ]
+        before = active_registry().snapshot()
+        for spec in specs:
+            spec.run()
+        assert active_registry().snapshot() == before
+        with collecting() as registry:
+            for spec in specs:
+                spec.run()
+        snapshot = registry.snapshot()
+        for name in names:
+            assert sum(snapshot[name]["samples"].values()) > 0, name
 
 
 class TestSnapshots:
