@@ -1,4 +1,4 @@
-"""The durable on-disk campaign ledger: journal + content-addressed shards.
+"""The durable on-disk campaign ledger: pinned spec, journal, result cache.
 
 A campaign directory is the single source of truth for a run:
 
@@ -10,21 +10,19 @@ A campaign directory is the single source of truth for a run:
                          shard_done / shard_skipped / shard_failed /
                          campaign_done), each stamped with wall time —
                          an *audit log*, not the recovery mechanism
-      shards/<hash>.json one file per completed shard, content-addressed
-                         by the shard hash and self-verifying (stored
-                         spec hashes + a result checksum), written
-                         atomically (tmp + rename)
+      cache/             a :class:`~repro.runtime.ResultCache`: every
+                         trial result the campaign ran, in immutable,
+                         self-verifying shape files named by their content
       results.jsonl      final per-trial ledger in global trial order,
                          fully deterministic (no wall-clock fields)
-      report.json        per-cell success rates + the merged
-                         deterministic metrics snapshot
+      report.json        per-cell success rates
 
-Crash safety comes from the shard files, not the journal: a shard is
-"done" exactly when its content-addressed file exists and verifies, so
-resume never trusts a journal line that a kill may have half-written —
-it re-derives completion from content. A corrupt or tampered shard file
-fails verification and is simply re-executed, mirroring the result
-cache's poison handling.
+Crash safety comes from the cache, not the journal: a shard is "done"
+exactly when every one of its trials has a verified result in the cache,
+so resume never trusts a journal line that a kill may have half-written —
+it re-derives completion from content. A cache file that fails
+verification is unlinked and counted in ``cache.stats.poisoned``, and
+its trials are simply re-executed.
 """
 
 from __future__ import annotations
@@ -33,9 +31,9 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Union
 
-from ..runtime.cache import canonical_sha
+from ..runtime.cache import ResultCache
 from .spec import CampaignSpec, Shard
 
 __all__ = ["CampaignLedger", "LedgerError"]
@@ -57,13 +55,13 @@ class CampaignLedger:
 
     SPEC_FILE = "campaign.json"
     JOURNAL_FILE = "ledger.jsonl"
-    SHARDS_DIR = "shards"
+    CACHE_DIR = "cache"
     RESULTS_FILE = "results.jsonl"
     REPORT_FILE = "report.json"
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.root = Path(directory)
-        self.poisoned = 0
+        self.cache = ResultCache(self.root / self.CACHE_DIR)
 
     # ------------------------------------------------------------------
     # Initialization / identity
@@ -77,11 +75,6 @@ class CampaignLedger:
     def journal_path(self) -> Path:
         """Path of the append-only journal."""
         return self.root / self.JOURNAL_FILE
-
-    @property
-    def shards_dir(self) -> Path:
-        """Directory holding content-addressed shard result files."""
-        return self.root / self.SHARDS_DIR
 
     @property
     def results_path(self) -> Path:
@@ -99,11 +92,11 @@ class CampaignLedger:
         A fresh directory is stamped with the canonical spec. An already
         initialized directory is only re-opened when ``resume`` is set
         *and* the stored spec hash matches — running a different
-        campaign into an existing ledger is always an error, because
-        shard addresses would silently stop lining up.
+        campaign into an existing ledger is always an error, because its
+        journal and final artifacts describe one campaign. (The cache
+        alone could be shared: it is keyed by trial, not by campaign.)
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        self.shards_dir.mkdir(exist_ok=True)
         digest = spec.campaign_hash()
         if self.spec_path.exists():
             try:
@@ -174,77 +167,23 @@ class CampaignLedger:
         return records
 
     # ------------------------------------------------------------------
-    # Shard results (the actual checkpoints)
+    # Trial results (the actual checkpoints)
 
-    def shard_path(self, shard: Shard) -> Path:
-        """Content-addressed result path for ``shard``."""
-        return self.shards_dir / f"{shard.shard_hash}.json"
+    def completed_shards(self, shards: Iterable[Shard]) -> Dict[int, List]:
+        """Map shard index -> its trials' cached results, for every done shard.
 
-    def store_shard(
-        self,
-        shard: Shard,
-        results: List[Dict[str, Any]],
-        metrics: Dict[str, Any],
-    ) -> Path:
-        """Atomically persist one completed shard's results.
-
-        ``results`` are trace-free result payloads in shard trial order;
-        ``metrics`` is the shard's deterministic metric snapshot. The
-        entry embeds the member spec hashes and a content checksum so a
-        later load can verify it end-to-end.
+        A shard is done when every one of its trials hits in the cache.
+        The whole expansion is one :meth:`ResultCache.lookup_many`.
         """
-        body = {"results": results, "metrics": metrics}
-        entry = {
-            "campaign": shard.campaign_hash,
-            "shard": shard.index,
-            "hash": shard.shard_hash,
-            "specs": shard.spec_hashes,
-            "cells": [trial.cell_index for trial in shard.trials],
-            "content_sha": canonical_sha(body),
-        }
-        entry.update(body)
-        path = self.shard_path(shard)
-        _atomic_write(path, json.dumps(entry, sort_keys=True))
-        return path
-
-    def load_shard(self, shard: Shard) -> Optional[Dict[str, Any]]:
-        """Load and verify a shard's stored results, or ``None``.
-
-        ``None`` means "not done" — the file is missing, unreadable,
-        addressed under the wrong hash, or fails its content checksum.
-        A verification failure bumps :attr:`poisoned` (and the caller
-        re-executes the shard) rather than serving bad results.
-        """
-        path = self.shard_path(shard)
-        try:
-            entry = json.loads(path.read_text())
-        except (OSError, ValueError):
-            if path.exists():
-                self.poisoned += 1
-            return None
-        if (
-            entry.get("hash") != shard.shard_hash
-            or entry.get("specs") != shard.spec_hashes
-            or entry.get("content_sha")
-            != canonical_sha(
-                {"results": entry.get("results"), "metrics": entry.get("metrics")}
-            )
-        ):
-            self.poisoned += 1
-            return None
-        results = entry.get("results")
-        if not isinstance(results, list) or len(results) != len(shard.trials):
-            self.poisoned += 1
-            return None
-        return entry
-
-    def completed_shards(self, shards: Iterable[Shard]) -> Dict[int, Dict[str, Any]]:
-        """Map shard index -> verified stored entry, for every done shard."""
-        done: Dict[int, Dict[str, Any]] = {}
+        shards = list(shards)
+        results = iter(
+            self.cache.lookup_many([t.spec for shard in shards for t in shard.trials])
+        )
+        done: Dict[int, List] = {}
         for shard in shards:
-            entry = self.load_shard(shard)
-            if entry is not None:
-                done[shard.index] = entry
+            chunk = [next(results) for _ in shard.trials]
+            if all(result is not None for result in chunk):
+                done[shard.index] = chunk
         return done
 
     # ------------------------------------------------------------------

@@ -2,23 +2,23 @@
 
 :func:`run_campaign` drives one :class:`~repro.campaign.spec.CampaignSpec`
 through the existing :class:`~repro.runtime.TrialExecutor`, one shard at
-a time, checkpointing into a :class:`~repro.campaign.ledger.CampaignLedger`
+a time. The executor's result cache is the ledger's
+(:class:`~repro.campaign.ledger.CampaignLedger`), so each shard's batch
+looks its trials up there and stores the ones it ran, which checkpoints
 after **every** shard. The loop is idempotent by construction:
 
-- a shard whose content-addressed result file exists and verifies is
-  skipped, never re-run — so killing the process at any point and
-  re-running with ``resume=True`` continues exactly where it stopped;
-- shard execution is deterministic (specs carry their own seeds), so a
-  resumed run's shard files are byte-identical to an uninterrupted
-  run's, and the final ``results.jsonl``/``report.json`` are too;
+- a shard whose trials all hit in the cache executes nothing (it counts
+  as skipped) — so killing the process at any point and re-running with
+  ``resume=True`` continues exactly where it stopped;
+- trial execution is deterministic (specs carry their own seeds), so a
+  resumed run's final ``results.jsonl``/``report.json`` are
+  byte-identical to an uninterrupted run's;
 - a failing shard is retried up to ``retries`` extra times before the
   campaign aborts — with all completed shards safely on disk.
 
-Telemetry: every shard runs under its own metric registry and its
-**deterministic** snapshot is stored in the shard file; at finalize the
-per-shard snapshots are folded with the snapshot-merge algebra
-(:func:`repro.obs.merge_snapshots`) into one campaign-level view that is
-independent of sharding, worker count, and interruption history.
+Telemetry: :attr:`CampaignResult.metrics` is the deterministic metric
+snapshot of one invocation's batches, so it covers only the trials that
+invocation executed; the artifacts on disk hold no metrics.
 """
 
 from __future__ import annotations
@@ -27,11 +27,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from ..obs import metrics as obs_metrics
 from ..obs.export import deterministic_view
-from ..obs.metrics import merge_snapshots
 from ..runtime import TrialExecutor
-from ..runtime.cache import result_payload
 from .ledger import CampaignLedger
 from .spec import CampaignError, CampaignSpec, Shard
 
@@ -87,7 +84,10 @@ class CampaignResult:
             (non-zero only for ``--shard I/N`` partial runs).
         finalized: Whether ``results.jsonl``/``report.json`` were written.
         cells: Per-cell aggregates (populated only when finalized).
-        metrics: Merged deterministic metric snapshot (when finalized).
+        metrics: Deterministic metric snapshot of this invocation's
+            batches: trial metrics for the trials it executed, executor
+            counters for every shard it processed. A fresh run's covers
+            every trial; a resumed run's only the ones it re-ran.
     """
 
     spec: CampaignSpec
@@ -106,35 +106,28 @@ def _run_shard(
     shard: Shard,
     retries: int,
     ledger: CampaignLedger,
-) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Execute one shard (with the retry budget); returns (results, metrics).
+) -> List:
+    """Run one shard's batch (with the retry budget); returns its results.
 
-    Each attempt runs under a fresh metric registry so a failed attempt
-    cannot leak partial counts into the stored snapshot.
+    The executor stores a batch's results only once every trial of it
+    has returned, so a failed attempt stores nothing.
     """
     specs = [trial.spec for trial in shard.trials]
     last_error: Optional[BaseException] = None
     for attempt in range(retries + 1):
-        executor.metrics = obs_metrics.MetricsRegistry()
         try:
-            results = executor.run_batch(specs)
+            return executor.run_batch(specs)
         except Exception as exc:  # BrokenProcessPool, trial bug, ...
             last_error = exc
             ledger.journal(
                 "shard_attempt_failed",
                 shard=shard.index,
-                hash=shard.shard_hash,
                 attempt=attempt,
                 error=f"{type(exc).__name__}: {exc}",
             )
-            continue
-        payloads = [result_payload(result) for result in results]
-        snapshot = deterministic_view(executor.metrics.snapshot())
-        return payloads, snapshot
     ledger.journal(
         "shard_failed",
         shard=shard.index,
-        hash=shard.shard_hash,
         attempts=retries + 1,
         error=f"{type(last_error).__name__}: {last_error}",
     )
@@ -146,14 +139,14 @@ def _run_shard(
 def _finalize(
     spec: CampaignSpec,
     shards: List[Shard],
-    entries: Dict[int, Dict[str, Any]],
+    done: Dict[int, List],
     ledger: CampaignLedger,
-) -> Tuple[List[CellResult], Dict[str, Any]]:
-    """Fold all shard entries into ``results.jsonl`` + ``report.json``.
+) -> List[CellResult]:
+    """Fold every shard's cached results into ``results.jsonl`` + ``report.json``.
 
-    Everything written here is a pure function of the shard files, which
-    are themselves pure functions of the spec — so finalizing after any
-    interruption history produces identical bytes.
+    Everything written here is a pure function of the cached results,
+    which are themselves pure functions of the spec — so finalizing
+    after any interruption history produces identical bytes.
     """
     cells = [
         CellResult(
@@ -166,15 +159,12 @@ def _finalize(
         for i, cell in enumerate(spec.cells)
     ]
     lines: List[Dict[str, Any]] = []
-    snapshots: List[Dict[str, Any]] = []
     for shard in shards:
-        entry = entries[shard.index]
-        snapshots.append(entry.get("metrics", {}))
-        for trial, payload in zip(shard.trials, entry["results"]):
+        for trial, outcome in zip(shard.trials, done[shard.index]):
             cell = cells[trial.cell_index]
             cell.trials += 1
-            cell.successes += bool(payload["succeeded"])
-            cell.censored += bool(payload["censored"])
+            cell.successes += bool(outcome.succeeded)
+            cell.censored += bool(outcome.censored)
             lines.append(
                 {
                     "seq": trial.index,
@@ -184,12 +174,11 @@ def _finalize(
                     "seed": trial.spec.seed,
                     "country": trial.spec.country,
                     "protocol": trial.spec.protocol,
-                    "outcome": payload["outcome"],
-                    "succeeded": bool(payload["succeeded"]),
-                    "censored": bool(payload["censored"]),
+                    "outcome": outcome.outcome,
+                    "succeeded": bool(outcome.succeeded),
+                    "censored": bool(outcome.censored),
                 }
             )
-    merged = merge_snapshots(*snapshots)
     ledger.write_results(lines)
     ledger.write_report(
         {
@@ -199,10 +188,9 @@ def _finalize(
             "shard_size": spec.shard_size,
             "trials": len(lines),
             "cells": [cell.as_dict() for cell in cells],
-            "metrics": merged,
         }
     )
-    return cells, merged
+    return cells
 
 
 def run_campaign(
@@ -211,7 +199,6 @@ def run_campaign(
     resume: bool = False,
     shard: Optional[Tuple[int, int]] = None,
     workers: int = 1,
-    cache=None,
     retries: int = 2,
     max_shards: Optional[int] = None,
     echo: Optional[Callable[[str], None]] = None,
@@ -222,17 +209,12 @@ def run_campaign(
         spec: The campaign to run.
         out_dir: Ledger directory (created if needed).
         resume: Continue an existing ledger; without it an initialized
-            directory is refused. Idempotent: completed shards are
-            recognized by content hash and skipped.
+            directory is refused. Idempotent: a shard whose trials are
+            all in the ledger's cache executes nothing.
         shard: Optional ``(I, N)`` selector — this invocation runs only
             shard indices congruent to ``I-1`` mod ``N``, so a campaign
             splits across ``N`` machines without coordination.
         workers: Worker processes for the underlying executor.
-        cache: Optional trial-result cache (as in
-            :class:`~repro.runtime.TrialExecutor`). The ledger itself is
-            the campaign's checkpoint; a cache only dedups *across*
-            campaigns. Note that a warm cache changes the
-            executed-vs-cached split in stored shard metrics.
         retries: Extra attempts per failing shard before aborting.
         max_shards: Process at most this many shards, then checkpoint
             and return (``finalized=False``); rerun with ``resume`` to
@@ -241,9 +223,9 @@ def run_campaign(
         echo: Optional progress sink (e.g. ``print``).
 
     Returns a :class:`CampaignResult`. The final ``results.jsonl`` and
-    ``report.json`` are written only once every shard of the whole
-    campaign verifies on disk — for multi-machine runs, copy the
-    ``shards/`` files into one directory and re-run with ``resume``.
+    ``report.json`` are written only once every trial of the whole
+    campaign is in the ledger's cache — for multi-machine runs, copy the
+    ``cache/`` trees into one directory and re-run with ``resume``.
     """
     say = echo if echo is not None else (lambda _line: None)
     ledger = CampaignLedger(out_dir)
@@ -268,38 +250,38 @@ def run_campaign(
     )
 
     processed = 0
-    with TrialExecutor(workers=workers, cache=cache, collect_metrics=True) as executor:
+    with TrialExecutor(
+        workers=workers, cache=ledger.cache, collect_metrics=True
+    ) as executor:
         for item in mine:
             if max_shards is not None and processed >= max_shards:
                 ledger.journal("campaign_paused", after_shards=processed)
                 say(f"paused after {processed} shard(s)")
                 break
-            if ledger.load_shard(item) is not None:
-                result.shards_skipped += 1
-                ledger.journal("shard_skipped", shard=item.index, hash=item.shard_hash)
-                processed += 1
-                continue
-            payloads, snapshot = _run_shard(executor, item, retries, ledger)
-            ledger.store_shard(item, payloads, snapshot)
-            result.shards_run += 1
+            results = _run_shard(executor, item, retries, ledger)
             processed += 1
-            successes = sum(bool(p["succeeded"]) for p in payloads)
+            if executor.last_stats.executed == 0:
+                result.shards_skipped += 1
+                ledger.journal("shard_skipped", shard=item.index)
+                continue
+            result.shards_run += 1
+            successes = sum(bool(r.succeeded) for r in results)
             ledger.journal(
                 "shard_done",
                 shard=item.index,
-                hash=item.shard_hash,
-                trials=len(payloads),
+                trials=len(results),
                 successes=successes,
             )
             say(
                 f"shard {item.index + 1}/{len(shards)}: "
-                f"{successes}/{len(payloads)} trials succeeded"
+                f"{successes}/{len(results)} trials succeeded"
             )
+        result.metrics = deterministic_view(executor.metrics_snapshot())
 
-    entries = ledger.completed_shards(shards)
-    result.shards_pending = len(shards) - len(entries)
+    done = ledger.completed_shards(shards)
+    result.shards_pending = len(shards) - len(done)
     if result.shards_pending == 0:
-        result.cells, result.metrics = _finalize(spec, shards, entries, ledger)
+        result.cells = _finalize(spec, shards, done, ledger)
         result.finalized = True
         ledger.journal(
             "campaign_done",

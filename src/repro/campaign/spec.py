@@ -14,13 +14,12 @@ ordered list of :class:`~repro.runtime.TrialSpec` shards:
   the same expansion every evaluation driver runs through
   ``TrialExecutor.run_cells`` — a campaign cell reproduces the
   corresponding direct measurement bit-for-bit;
-- shards are fixed-size chunks of the expansion, each content-addressed
-  by a SHA-256 over the campaign hash, the shard index, and its trial
-  spec hashes (see :func:`Shard.shard_hash`).
+- shards are fixed-size chunks of the expansion, the unit a run
+  checkpoints, counts (``--max-shards``) and splits (``--shard I/N``).
 
-The content addresses are what make campaigns restartable: a completed
-shard's result file is keyed by its hash, so a resumed run recognizes
-and skips finished work *by construction* (see
+What makes campaigns restartable is that every trial spec is its own
+content address: the ledger's result cache keys each result by its spec,
+so a resumed run recognizes finished work *by construction* (see
 :mod:`repro.campaign.ledger`).
 """
 
@@ -59,33 +58,10 @@ class CampaignTrial:
 
 @dataclass(frozen=True)
 class Shard:
-    """A fixed-size chunk of a campaign's trial expansion.
-
-    The shard hash covers the campaign hash, the shard index, and every
-    member trial's spec hash, so it changes whenever the spec, the
-    sharding, or any contained trial does — which is exactly the
-    invariant resume safety rests on.
-    """
+    """A fixed-size chunk of a campaign's trial expansion: one batch."""
 
     index: int
-    campaign_hash: str
     trials: Tuple[CampaignTrial, ...]
-
-    @property
-    def spec_hashes(self) -> List[str]:
-        """Content hashes of the member trial specs, in order."""
-        return [trial.spec.spec_hash() for trial in self.trials]
-
-    @property
-    def shard_hash(self) -> str:
-        """Content address of this shard (SHA-256, hex)."""
-        return canonical_sha(
-            {
-                "campaign": self.campaign_hash,
-                "index": self.index,
-                "specs": self.spec_hashes,
-            }
-        )
 
 
 @dataclass
@@ -194,14 +170,12 @@ class CampaignSpec:
         return trials
 
     def shards(self) -> List[Shard]:
-        """Chunk the expansion into content-addressed fixed-size shards."""
-        digest = self.campaign_hash()
+        """Chunk the expansion into fixed-size shards."""
         expansion = self.expand()
-        out: List[Shard] = []
-        for start in range(0, len(expansion), self.shard_size):
-            chunk = tuple(expansion[start : start + self.shard_size])
-            out.append(Shard(len(out), digest, chunk))
-        return out
+        return [
+            Shard(index, tuple(expansion[start : start + self.shard_size]))
+            for index, start in enumerate(range(0, len(expansion), self.shard_size))
+        ]
 
     def select_shards(
         self, shards: Sequence[Shard], shard_index: int, shard_count: int

@@ -15,7 +15,8 @@ Subcommands:
 - ``sni``        measure the SNI-era matrix (record-level server-side
   strategies vs the TLS-metadata censors; see ``docs/sni.md``);
 - ``profile``    per-phase timing breakdown of a trial batch;
-- ``campaign``   sharded, checkpointed, resumable experiment campaigns
+- ``campaign``   sharded, resumable experiment campaigns that checkpoint
+  into a result cache inside their directory
   (``campaign run SPEC --out DIR [--resume] [--shard I/N]``,
   ``campaign presets``, ``campaign status DIR``; see
   ``docs/campaigns.md``);
@@ -330,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c_run.add_argument(
         "--out", required=True, metavar="DIR",
-        help="campaign ledger directory (journal, shard checkpoints, report)",
+        help="campaign ledger directory (journal, result cache, report)",
     )
     c_run.add_argument(
         "--resume", action="store_true",
@@ -363,10 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     c_run.add_argument(
         "--workers", type=positive_int, default=1,
         help="worker processes for shard execution (1 = serial in-process)",
-    )
-    c_run.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="also consult/fill a cross-campaign trial-result cache at DIR",
     )
 
     camp_sub.add_parser("presets", help="list the canned campaign presets")
@@ -605,8 +602,9 @@ def _campaign(args) -> int:
         print(f"campaign:  {spec.name} ({spec.campaign_hash()[:16]})")
         print(f"shards:    {len(done)}/{len(shards)} complete")
         print(f"trials:    {trials_done}/{spec.total_trials} complete")
-        if ledger.poisoned:
-            print(f"poisoned:  {ledger.poisoned} shard file(s) failed verification")
+        poisoned = ledger.cache.stats.poisoned
+        if poisoned:
+            print(f"poisoned:  {poisoned} cache file(s) failed verification")
         print(
             "report:    "
             + ("written" if ledger.report_path.exists() else "pending")
@@ -621,7 +619,6 @@ def _campaign(args) -> int:
             resume=args.resume,
             shard=args.shard,
             workers=args.workers,
-            cache=args.cache_dir,
             retries=args.retries,
             max_shards=args.max_shards,
             echo=print,

@@ -134,7 +134,7 @@ def write_telemetry(
     meta: Dict[str, Any] = dict(run_meta or {})
     if runlog is not None:
         meta.setdefault("run_id", runlog.run_id)
-        meta.setdefault("trials_logged", len(runlog.spec_hashes))
+        meta.setdefault("trials_logged", len(runlog.digests))
         meta.setdefault("anomalies", runlog.anomalies)
 
     path = root / "run.json"

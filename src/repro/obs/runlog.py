@@ -45,14 +45,14 @@ __all__ = [
 FLIGHT_RING_SIZE = 32
 
 
-def run_id_for(spec_hashes: Iterable[str]) -> str:
+def run_id_for(digests: Iterable[str]) -> str:
     """Deterministic run identifier: SHA-256 over the sorted hash set.
 
     Depends only on *which* trials the run comprises — not submission
     order, wall clock, host, or worker count.
     """
     hasher = hashlib.sha256()
-    for digest in sorted(set(spec_hashes)):
+    for digest in sorted(set(digests)):
         hasher.update(digest.encode("ascii"))
         hasher.update(b"\n")
     return hasher.hexdigest()[:16]
@@ -115,7 +115,7 @@ class RunLog:
 
     def __init__(self, flight_size: int = FLIGHT_RING_SIZE) -> None:
         self._records: List[Dict[str, Any]] = []
-        self._spec_hashes: List[str] = []
+        self._digests: List[str] = []
         self.flight = FlightRecorder(flight_size)
         self.anomalies = 0
 
@@ -130,7 +130,7 @@ class RunLog:
     def record_trial(self, index: int, spec, result, cached: bool = False) -> None:
         """Log one trial's spec identity and outcome."""
         digest = spec.spec_hash()
-        self._spec_hashes.append(digest)
+        self._digests.append(digest)
         self.record(
             "trial",
             seq=index,
@@ -180,12 +180,12 @@ class RunLog:
     @property
     def run_id(self) -> str:
         """Content-derived run identifier (see :func:`run_id_for`)."""
-        return run_id_for(self._spec_hashes)
+        return run_id_for(self._digests)
 
     @property
-    def spec_hashes(self) -> List[str]:
+    def digests(self) -> List[str]:
         """Spec hashes of every logged trial, in submission order."""
-        return list(self._spec_hashes)
+        return list(self._digests)
 
     def lines(self, wall_clock=time.time) -> Iterator[str]:
         """Serialized records: sorted-key JSON, one per line.

@@ -110,9 +110,9 @@ class CacheStats:
 def canonical_sha(payload: Any) -> str:
     """SHA-256 hex digest of a value's canonical (sorted-key) JSON form.
 
-    This is the one content-address function shared by the result cache
-    and the campaign ledger: any JSON-able value has exactly one digest,
-    independent of dict insertion order.
+    The cache checks its per-entry files' results with it, and a
+    campaign's hash is taken with it: any JSON-able value has exactly
+    one digest, independent of dict insertion order.
     """
     return key_address(canonical_json(payload))
 

@@ -94,6 +94,17 @@ class TestRunCommand:
         assert main(["campaign", "status", out_dir]) == 1
         assert "1/3 complete" in capsys.readouterr().out
 
+    def test_status_removes_and_reports_a_poisoned_cache_file(self, tmp_path, capsys):
+        spec = spec_file(tmp_path)
+        out_dir = tmp_path / "camp"
+        main(["campaign", "run", spec, "--out", str(out_dir)])
+        capsys.readouterr()
+        victim = sorted(out_dir.glob("cache/shapes/*/*/*.json"))[0]
+        victim.write_text(victim.read_text()[:-20] + "}")
+        assert main(["campaign", "status", str(out_dir)]) == 1
+        assert "poisoned:  1 cache file(s)" in capsys.readouterr().out
+        assert not victim.exists()
+
     def test_rerun_without_resume_fails(self, tmp_path, capsys):
         spec = spec_file(tmp_path)
         out_dir = str(tmp_path / "camp")

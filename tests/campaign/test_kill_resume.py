@@ -2,10 +2,10 @@
 and require the final ledger to match an uninterrupted golden bit-for-bit.
 
 This is the crash-safety acceptance test from the campaign design: the
-content-addressed shard files — not the journal — define completion, so
-a hard kill at any instant loses at most the in-flight shard and a
-resumed run converges on exactly the artifacts an uninterrupted run
-produces.
+content-addressed files of the campaign's result cache — not the journal
+— define completion, so a hard kill at any instant loses at most the
+in-flight shard and a resumed run converges on exactly the artifacts an
+uninterrupted run produces.
 """
 
 import json
@@ -75,12 +75,12 @@ def test_sigkill_then_resume_matches_uninterrupted_golden(tmp_path):
     try:
         # Wait until at least one shard checkpoint landed, then kill hard
         # — with 10 shards in the campaign we land mid-run, mid-shard.
-        shards_dir = out_dir / CampaignLedger.SHARDS_DIR
+        cache_dir = out_dir / CampaignLedger.CACHE_DIR
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             if proc.poll() is not None:
                 break
-            if shards_dir.is_dir() and any(shards_dir.glob("*.json")):
+            if any(cache_dir.glob("shapes/*/*/*.json")):
                 break
             time.sleep(0.005)
         else:

@@ -1,10 +1,11 @@
-"""Ledger durability: initialization guards, shard verification, journals."""
+"""Ledger durability: initialization guards, cached shards, journals."""
 
 import json
 
 import pytest
 
 from repro.campaign import CampaignLedger, CampaignSpec, CellSpec, LedgerError
+from repro.eval import TrialResult
 
 
 def make_spec(seed=7):
@@ -15,11 +16,16 @@ def make_spec(seed=7):
     )
 
 
-def fake_results(shard):
+def fake_results(count):
     return [
-        {"outcome": "success", "succeeded": True, "censored": False}
-        for _ in shard.trials
+        TrialResult(outcome="success", succeeded=True, censored=False)
+        for _ in range(count)
     ]
+
+
+def store(ledger, trials):
+    """Put a result for each of ``trials`` into the ledger's cache."""
+    ledger.cache.store_many([t.spec for t in trials], fake_results(len(trials)))
 
 
 class TestInitialize:
@@ -73,65 +79,40 @@ class TestJournal:
         assert [r["event"] for r in records] == ["shard_done"]
 
 
-class TestShardStorage:
-    def test_store_load_round_trip(self, tmp_path):
-        spec = make_spec()
-        shard = spec.shards()[0]
-        ledger = CampaignLedger(tmp_path)
-        ledger.initialize(spec)
-        results = fake_results(shard)
-        ledger.store_shard(shard, results, {"m": {"kind": "counter"}})
-        entry = ledger.load_shard(shard)
-        assert entry is not None
-        assert entry["results"] == results
-        assert entry["metrics"] == {"m": {"kind": "counter"}}
-        assert entry["specs"] == shard.spec_hashes
-        assert ledger.poisoned == 0
-
-    def test_missing_shard_is_not_done(self, tmp_path):
+class TestCompletedShards:
+    def test_empty_cache_means_no_shard_is_done(self, tmp_path):
         spec = make_spec()
         ledger = CampaignLedger(tmp_path)
         ledger.initialize(spec)
-        assert ledger.load_shard(spec.shards()[0]) is None
-        assert ledger.poisoned == 0
+        assert ledger.completed_shards(spec.shards()) == {}
+        assert ledger.cache.stats.poisoned == 0
 
-    def test_corrupt_shard_counts_as_poisoned(self, tmp_path):
-        spec = make_spec()
-        shard = spec.shards()[0]
-        ledger = CampaignLedger(tmp_path)
-        ledger.initialize(spec)
-        ledger.store_shard(shard, fake_results(shard), {})
-        path = ledger.shard_path(shard)
-        path.write_text(path.read_text().replace("success", "crimped"))
-        assert ledger.load_shard(shard) is None
-        assert ledger.poisoned == 1
-
-    def test_unparseable_shard_counts_as_poisoned(self, tmp_path):
-        spec = make_spec()
-        shard = spec.shards()[0]
-        ledger = CampaignLedger(tmp_path)
-        ledger.initialize(spec)
-        ledger.shard_path(shard).write_text("{half a json")
-        assert ledger.load_shard(shard) is None
-        assert ledger.poisoned == 1
-
-    def test_wrong_result_count_counts_as_poisoned(self, tmp_path):
-        spec = make_spec()
-        shard = spec.shards()[0]
-        ledger = CampaignLedger(tmp_path)
-        ledger.initialize(spec)
-        ledger.store_shard(shard, fake_results(shard)[:-1], {})
-        assert ledger.load_shard(shard) is None
-        assert ledger.poisoned == 1
-
-    def test_completed_shards_mapping(self, tmp_path):
+    def test_shard_missing_one_trial_is_not_done(self, tmp_path):
         spec = make_spec()
         shards = spec.shards()
         ledger = CampaignLedger(tmp_path)
         ledger.initialize(spec)
-        ledger.store_shard(shards[1], fake_results(shards[1]), {})
-        done = ledger.completed_shards(shards)
+        store(ledger, shards[0].trials[:-1])
+        assert ledger.completed_shards(shards) == {}
+
+    def test_mapping_lists_exactly_the_stored_shards(self, tmp_path):
+        spec = make_spec()
+        shards = spec.shards()
+        ledger = CampaignLedger(tmp_path)
+        ledger.initialize(spec)
+        store(ledger, shards[1].trials)
+        # A fresh ledger reads the files, not the writer's memory.
+        done = CampaignLedger(tmp_path).completed_shards(shards)
         assert list(done) == [1]
+        assert [r.outcome for r in done[1]] == ["success"] * len(shards[1].trials)
+
+    def test_results_of_a_changed_spec_do_not_complete_it(self, tmp_path):
+        spec, changed = make_spec(seed=7), make_spec(seed=8)
+        ledger = CampaignLedger(tmp_path)
+        ledger.initialize(spec)
+        store(ledger, [t for shard in spec.shards() for t in shard.trials])
+        assert list(ledger.completed_shards(spec.shards())) == [0, 1]
+        assert ledger.completed_shards(changed.shards()) == {}
 
 
 class TestFinalArtifacts:

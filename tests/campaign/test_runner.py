@@ -1,8 +1,13 @@
 """Runner semantics: checkpointing, resume equality, retries, poison recovery."""
 
+import json
+import shutil
+from pathlib import Path
+
 import pytest
 
 from repro.campaign import (
+    PRESETS,
     CampaignError,
     CampaignLedger,
     CampaignSpec,
@@ -30,6 +35,16 @@ def ledger_bytes(out_dir):
     """The two deterministic final artifacts, as bytes."""
     ledger = CampaignLedger(out_dir)
     return ledger.results_path.read_bytes(), ledger.report_path.read_bytes()
+
+
+def shape_files(out_dir):
+    """Every shape file in a campaign directory's result cache."""
+    return sorted((Path(out_dir) / CampaignLedger.CACHE_DIR).glob("shapes/*/*/*.json"))
+
+
+def seeds_in(path):
+    """The trial seeds one shape file holds results for."""
+    return {seed for seed, _payload in json.loads(path.read_text())["records"]}
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +75,16 @@ class TestFullRun:
         )
         assert evading.trials == censored.trials == 4
 
-    def test_shard_files_exist_per_shard(self, golden):
+    def test_shards_are_stored_in_the_cache(self, golden):
         out, _ = golden
         shards = small_spec().shards()
-        ledger = CampaignLedger(out)
         assert len(shards) == 3
-        assert all(ledger.shard_path(s).exists() for s in shards)
+        assert sorted(CampaignLedger(out).completed_shards(shards)) == [0, 1, 2]
+        # One file per shape per shard's batch; shard 1 spans both cells.
+        assert len(shape_files(out)) == 4
+        assert sorted(path.name for path in out.iterdir()) == [
+            "cache", "campaign.json", "ledger.jsonl", "report.json", "results.jsonl",
+        ]
 
     def test_rerun_without_resume_refused(self, golden):
         out, _ = golden
@@ -112,14 +131,55 @@ class TestResumeEquality:
         _, baseline = golden
         out = tmp_path / "camp"
         run_campaign(small_spec(), out)
+        shards = small_spec().shards()
+        seeds = {trial.spec.seed for trial in shards[1].trials}
+        path = next(p for p in shape_files(out) if seeds_in(p) <= seeds)
+        path.write_text(path.read_text()[:-20] + "}")  # no longer its name's bytes
         ledger = CampaignLedger(out)
-        victim = small_spec().shards()[1]
-        path = ledger.shard_path(victim)
-        path.write_text(path.read_text()[:-20] + "}")  # break the checksum
+        assert sorted(ledger.completed_shards(shards)) == [0, 2]
+        assert ledger.cache.stats.poisoned == 1
+        assert not path.exists()
         resumed = run_campaign(small_spec(), out, resume=True)
         assert resumed.shards_run == 1
         assert resumed.shards_skipped == 2
         assert ledger_bytes(out) == baseline
+
+
+class TestSharedCache:
+    """Cache trees of the same trials merge by plain copying."""
+
+    def test_union_of_two_machines_caches_finalizes_to_golden(self, tmp_path, golden):
+        _, baseline = golden
+        merged = tmp_path / "merged"
+        for index in (1, 2):
+            part = run_campaign(small_spec(), tmp_path / f"m{index}", shard=(index, 2))
+            assert not part.finalized
+            shutil.copytree(
+                tmp_path / f"m{index}" / CampaignLedger.CACHE_DIR,
+                merged / CampaignLedger.CACHE_DIR,
+                dirs_exist_ok=True,
+            )
+        result = run_campaign(small_spec(), merged)
+        assert result.finalized
+        assert result.shards_run == 0
+        assert ledger_bytes(merged) == baseline
+
+    def test_cache_of_another_campaign_executes_nothing(self, tmp_path):
+        china = PRESETS["table2-china"](trials=2)
+        run_campaign(china, tmp_path / "fresh")
+        run_campaign(PRESETS["table2"](trials=2), tmp_path / "table2")
+        shutil.copytree(
+            tmp_path / "table2" / CampaignLedger.CACHE_DIR,
+            tmp_path / "reused" / CampaignLedger.CACHE_DIR,
+        )
+        reused = run_campaign(china, tmp_path / "reused")
+        assert reused.finalized
+        assert reused.shards_run == 0
+        assert reused.shards_skipped == reused.shards_total
+        trials = reused.metrics["repro_executor_trials_total"]["samples"]
+        assert trials["state=executed"] == 0
+        assert trials["state=cached"] == china.total_trials
+        assert ledger_bytes(tmp_path / "reused") == ledger_bytes(tmp_path / "fresh")
 
 
 class TestRetries:

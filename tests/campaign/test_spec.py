@@ -99,18 +99,11 @@ class TestCampaignSpec:
         assert [len(s.trials) for s in shards] == [3, 3, 2]
         assert [s.index for s in shards] == [0, 1, 2]
 
-    def test_shard_hashes_are_distinct_and_stable(self):
-        first, second = small_spec().shards(), small_spec().shards()
-        hashes = [s.shard_hash for s in first]
-        assert hashes == [s.shard_hash for s in second]
-        assert len(set(hashes)) == len(hashes)
-
-    def test_shard_hash_covers_campaign_identity(self):
-        changed = small_spec()
-        changed.cells[0].seed += 1
-        assert (
-            small_spec().shards()[1].shard_hash != changed.shards()[1].shard_hash
-        )
+    def test_shards_partition_the_expansion_in_order(self):
+        spec = small_spec()
+        chunked = [t for shard in spec.shards() for t in shard.trials]
+        assert chunked == spec.expand()
+        assert spec.shards() == small_spec().shards()
 
     def test_round_trip_preserves_hash(self):
         spec = small_spec()
