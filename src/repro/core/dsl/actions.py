@@ -61,8 +61,12 @@ class Action:
         return []
 
     def tree_size(self) -> int:
-        """Number of nodes in this subtree (complexity metric for the GA)."""
-        return 1 + sum(child.tree_size() for child in self.children())
+        """Number of nodes in this subtree (complexity metric for the GA).
+
+        Each class counts its own children directly: the GA sizes every
+        genome it mutates or scores.
+        """
+        raise NotImplementedError
 
     def copy(self) -> "Action":
         """Deep copy of this subtree."""
@@ -96,6 +100,9 @@ class SendAction(Action):
     def apply(self, packet: Packet, rng: random.Random) -> List[Packet]:
         return [packet]
 
+    def tree_size(self) -> int:
+        return 1
+
     def copy(self) -> "SendAction":
         return SendAction()
 
@@ -108,6 +115,9 @@ class DropAction(Action):
 
     def apply(self, packet: Packet, rng: random.Random) -> List[Packet]:
         return []
+
+    def tree_size(self) -> int:
+        return 1
 
     def copy(self) -> "DropAction":
         return DropAction()
@@ -134,6 +144,9 @@ class DuplicateAction(Action):
 
     def children(self) -> List[Action]:
         return [self.first, self.second]
+
+    def tree_size(self) -> int:
+        return 1 + self.first.tree_size() + self.second.tree_size()
 
     def copy(self) -> "DuplicateAction":
         return DuplicateAction(self.first.copy(), self.second.copy())
@@ -174,6 +187,9 @@ class TamperAction(Action):
 
     def children(self) -> List[Action]:
         return [self.child]
+
+    def tree_size(self) -> int:
+        return 1 + self.child.tree_size()
 
     def copy(self) -> "TamperAction":
         return TamperAction(
@@ -231,6 +247,9 @@ class FragmentAction(Action):
     def children(self) -> List[Action]:
         return [self.first, self.second]
 
+    def tree_size(self) -> int:
+        return 1 + self.first.tree_size() + self.second.tree_size()
+
     def copy(self) -> "FragmentAction":
         return FragmentAction(
             self.protocol, self.offset, self.in_order, self.first.copy(), self.second.copy()
@@ -274,6 +293,9 @@ class RecordSplitAction(Action):
     def children(self) -> List[Action]:
         return [self.child]
 
+    def tree_size(self) -> int:
+        return 1 + self.child.tree_size()
+
     def copy(self) -> "RecordSplitAction":
         return RecordSplitAction(self.offset, self.child.copy())
 
@@ -311,6 +333,9 @@ class StallAction(Action):
 
     def children(self) -> List[Action]:
         return [self.child]
+
+    def tree_size(self) -> int:
+        return 1 + self.child.tree_size()
 
     def copy(self) -> "StallAction":
         return StallAction(self.count, self.child.copy())

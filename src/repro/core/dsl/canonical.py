@@ -59,7 +59,7 @@ The rules:
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ...packets import TCP, UDP, IPv4, IPv6, TCP_FLAG_LETTERS
 from .actions import (
@@ -79,23 +79,37 @@ __all__ = ["canonical_strategy", "canonical_key", "normalize_trigger"]
 
 _FLAG_ORDER = {letter: index for index, letter in enumerate(TCP_FLAG_LETTERS)}
 
+#: Memos of the two pure lookups every canonicalized tree repeats, keyed
+#: on their arguments and holding only immutable values. Cleared when
+#: full, like the runtime's strategy parse cache.
+_KINDS: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+_TRIGGERS: Dict[Trigger, Optional[Tuple[Trigger, Optional[str]]]] = {}
+_MEMO_MAX = 512
 
-def _field_kinds(protocol: str, field: str) -> List[str]:
+
+def _field_kinds(protocol: str, field: str) -> Tuple[str, ...]:
     """Field kinds a ``protocol:field`` name can resolve to at match time.
 
     ``IP`` consults both the v4 and v6 registries (a packet's version
     picks one); unknown protocols or fields resolve to nothing.
     """
-    protocol = protocol.upper()
-    if protocol == "TCP":
-        registries = (TCP.FIELDS,)
-    elif protocol == "UDP":
-        registries = (UDP.FIELDS,)
-    elif protocol == "IP":
-        registries = (IPv4.FIELDS, IPv6.FIELDS)
-    else:
-        return []
-    return sorted({r[field].kind for r in registries if field in r})
+    key = (protocol, field)
+    kinds = _KINDS.get(key)
+    if kinds is None:
+        protocol = protocol.upper()
+        if protocol == "TCP":
+            registries = (TCP.FIELDS,)
+        elif protocol == "UDP":
+            registries = (UDP.FIELDS,)
+        elif protocol == "IP":
+            registries = (IPv4.FIELDS, IPv6.FIELDS)
+        else:
+            registries = ()
+        kinds = tuple(sorted({r[field].kind for r in registries if field in r}))
+        if len(_KINDS) >= _MEMO_MAX:
+            _KINDS.clear()
+        _KINDS[key] = kinds
+    return kinds
 
 
 def normalize_trigger(trigger: Trigger) -> Optional[Tuple[Trigger, Optional[str]]]:
@@ -105,6 +119,18 @@ def normalize_trigger(trigger: Trigger) -> Optional[Tuple[Trigger, Optional[str]
     kind when it is unambiguous (used to reason about mutual exclusion)
     or ``None`` when it is not.
     """
+    try:
+        return _TRIGGERS[trigger]
+    except KeyError:
+        pass
+    normalized = _normalize_trigger(trigger)
+    if len(_TRIGGERS) >= _MEMO_MAX:
+        _TRIGGERS.clear()
+    _TRIGGERS[trigger] = normalized
+    return normalized
+
+
+def _normalize_trigger(trigger: Trigger) -> Optional[Tuple[Trigger, Optional[str]]]:
     kinds = _field_kinds(trigger.protocol, trigger.field)
     if not kinds:
         return None  # unknown protocol or field: matches no packet, ever

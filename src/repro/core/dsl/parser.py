@@ -70,7 +70,12 @@ class Strategy:
 
     def tree_size(self) -> int:
         """Total node count across all action trees (complexity metric)."""
-        return sum(action.tree_size() for _, action in self.outbound + self.inbound)
+        size = 0
+        for _, action in self.outbound:
+            size += action.tree_size()
+        for _, action in self.inbound:
+            size += action.tree_size()
+        return size
 
     def copy(self) -> "Strategy":
         """Deep copy (stateful actions come back with fresh state)."""

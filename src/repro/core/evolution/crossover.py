@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from typing import Tuple
 
 from ..dsl import Strategy
 from .mutation import all_nodes, replace_node
@@ -11,32 +10,33 @@ from .mutation import all_nodes, replace_node
 __all__ = ["crossover"]
 
 
-def crossover(
-    left: Strategy, right: Strategy, rng: random.Random
-) -> Tuple[Strategy, Strategy]:
-    """Produce two children by swapping random subtrees (or whole trees).
+def crossover(left: Strategy, right: Strategy, rng: random.Random) -> Strategy:
+    """Breed one child: ``left`` with a tree or subtree taken from ``right``.
 
-    If either parent has no action trees, the parents are returned
-    unchanged (copies).
+    The child is a fresh copy of ``left`` that shares no node with
+    either parent, so the caller may mutate it in place. With a
+    probability of one half the child's chosen tree is replaced whole by
+    ``right``'s chosen tree (trigger included); otherwise a random node
+    of it is replaced by a copy of a random node of ``right``'s tree. If
+    either parent has no action trees, the child is a plain copy of
+    ``left``. Neither parent is modified.
     """
-    a = left.copy()
-    b = right.copy()
-    if not a.outbound or not b.outbound:
-        return a, b
+    child = left.copy()
+    if not child.outbound or not right.outbound:
+        return child
 
-    ai = rng.randrange(len(a.outbound))
-    bi = rng.randrange(len(b.outbound))
+    ci = rng.randrange(len(child.outbound))
+    ri = rng.randrange(len(right.outbound))
+    donor_trigger, donor = right.outbound[ri]
 
     if rng.random() < 0.5:
         # Whole-tree swap.
-        a.outbound[ai], b.outbound[bi] = b.outbound[bi], a.outbound[ai]
-        return a, b
+        child.outbound[ci] = (donor_trigger, donor.copy())
+        return child
 
     # Subtree swap.
-    a_trigger, a_action = a.outbound[ai]
-    b_trigger, b_action = b.outbound[bi]
-    a_node = rng.choice(all_nodes(a_action))
-    b_node = rng.choice(all_nodes(b_action))
-    a.outbound[ai] = (a_trigger, replace_node(a_action, a_node, b_node.copy()))
-    b.outbound[bi] = (b_trigger, replace_node(b_action, b_node, a_node.copy()))
-    return a, b
+    trigger, action = child.outbound[ci]
+    node = rng.choice(all_nodes(action))
+    graft = rng.choice(all_nodes(donor))
+    child.outbound[ci] = (trigger, replace_node(action, node, graft.copy()))
+    return child

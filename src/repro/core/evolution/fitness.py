@@ -20,7 +20,7 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ...obs.metrics import Counter, Histogram
@@ -147,6 +147,7 @@ class CensorTrialEvaluator:
         #: while sharing the trial work of its canonical form.
         self._scores: Dict[str, float] = {}
         self.stats = EvalStats()
+        self._template: Optional[tuple] = None
 
     # ------------------------------------------------------------------
 
@@ -157,16 +158,35 @@ class CensorTrialEvaluator:
 
     def _specs_for(self, text: str) -> List[object]:
         # Built directly: CellSpec.build would re-parse every new genome's
-        # text, which was printed from a parsed strategy.
+        # text, which was printed from a parsed strategy. The specs equal
+        # CellSpec(...).trial_specs() field for field, and everything but
+        # the text is derived once per evaluator.
+        from ...runtime import TrialSpec
+
+        if self._template is None:
+            self._template = self._trial_template()
+        impairment, trials = self._template
+        server, client = (text, None) if self.side == "server" else (None, text)
+        return [
+            TrialSpec(self.country, self.protocol, server, seed, client, dict(options), impairment)
+            for seed, options in trials
+        ]
+
+    def _trial_template(self) -> tuple:
+        """The canonical impairment and each trial's ``(seed, options)``,
+        with the seeds (and pinned net seeds) from :meth:`CellSpec.seeds`."""
         from ...runtime import CellSpec
         from ...runtime.spec import impairment_dict
 
-        side = "server_strategy" if self.side == "server" else "client_strategy"
-        return CellSpec(
+        cell = CellSpec(
             self.country, self.protocol, trials=self.trials, seed=self.seed,
-            impairment=impairment_dict(self.impairment), net_seed=self.net_seed,
-            **{side: text},
-        ).trial_specs()
+            net_seed=self.net_seed,
+        )
+        trials = [
+            (seed, {} if net_seed is None else {"net_seed": net_seed})
+            for seed, net_seed in cell.seeds()
+        ]
+        return impairment_dict(self.impairment), trials
 
     def evaluate(self, strategies: Sequence[Strategy]) -> List[float]:
         """Score a whole population in one executor dispatch.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from ...obs import spans as _spans
@@ -47,6 +48,8 @@ _GA_FITNESS_EVALS = Counter(
     "Fitness lookups, split by real evaluations vs memo hits",
     ("source",),  # evaluated | memoized
 )
+
+_FITNESS = itemgetter(0)
 
 
 @dataclass
@@ -179,28 +182,29 @@ class GeneticAlgorithm:
         Returns ``(fitness, individual)`` sorted best-first, with the
         same stable tie order (population order) as per-individual
         scoring; memo bookkeeping and the evaluated/memoized metric
-        split match the per-individual path count for count.
+        split match the per-individual path count for count. Each
+        individual's text is printed once.
         """
+        cache = self._cache
+        keys = [str(individual) for individual in population]
         pending: List[Strategy] = []
         pending_keys: List[str] = []
         seen = set()
-        for individual in population:
-            key = str(individual)
-            if key in self._cache:
-                _GA_FITNESS_EVALS.inc(source="memoized")
-            elif key in seen:
-                _GA_FITNESS_EVALS.inc(source="memoized")
-            else:
+        for key, individual in zip(keys, population):
+            if key not in cache and key not in seen:
                 seen.add(key)
                 pending.append(individual)
                 pending_keys.append(key)
-                _GA_FITNESS_EVALS.inc(source="evaluated")
+        memoized = len(keys) - len(pending)
+        if memoized:
+            _GA_FITNESS_EVALS.inc(memoized, source="memoized")
         if pending:
+            _GA_FITNESS_EVALS.inc(len(pending), source="evaluated")
             for key, score in zip(pending_keys, self._evaluate_batch(pending)):
-                self._cache[key] = score
+                cache[key] = score
         return sorted(
-            ((self._cache[str(individual)], individual) for individual in population),
-            key=lambda item: item[0],
+            zip([cache[key] for key in keys], population),
+            key=_FITNESS,
             reverse=True,
         )
 
@@ -212,7 +216,7 @@ class GeneticAlgorithm:
             scored[self.rng.randrange(len(scored))]
             for _ in range(self.config.tournament_size)
         ]
-        return max(contenders, key=lambda item: item[0])[1]
+        return max(contenders, key=_FITNESS)[1]
 
     def _next_generation(
         self, scored: List[Tuple[float, Strategy]]
@@ -226,14 +230,15 @@ class GeneticAlgorithm:
             trigger = self.pool.random_trigger(self.rng)
             next_gen.append(Strategy([(trigger, self.pool.random_action(self.rng))]))
         while len(next_gen) < config.population_size:
+            # Each child is copied once, by ``copy`` or by ``crossover``,
+            # and ``mutate`` then changes that copy in place.
             parent = self._tournament(scored)
             if self.rng.random() < config.crossover_rate:
-                other = self._tournament(scored)
-                child, _ = crossover(parent, other, self.rng)
+                child = crossover(parent, self._tournament(scored), self.rng)
             else:
                 child = parent.copy()
             if self.rng.random() < config.mutation_rate:
-                child = mutate(child, self.pool, self.rng)
+                mutate(child, self.pool, self.rng)
             next_gen.append(child)
         return next_gen
 

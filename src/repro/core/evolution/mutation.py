@@ -1,8 +1,13 @@
 """Mutation operators over strategy action trees.
 
 Geneva's genetic algorithm mutates individuals by growing, shrinking and
-rewriting their action trees. All operators take and return *copies*; the
-input strategy is never modified.
+rewriting their action trees. :func:`mutate` changes the strategy it is
+given, which the caller owns: the GA hands it a child it has just copied
+from its parent or built by :func:`~repro.core.evolution.crossover.crossover`,
+so every child is copied exactly once. Callers that must keep the input
+pass ``strategy.copy()``. Below the strategy, no operator edits a node it
+was given: subtree rewrites build new nodes (:func:`replace_node`) and
+copy what they graft.
 """
 
 from __future__ import annotations
@@ -61,11 +66,10 @@ def replace_node(root: Action, target: Action, replacement: Action) -> Action:
 
 
 def mutate(strategy: Strategy, pool: GenePool, rng: random.Random) -> Strategy:
-    """Return a mutated copy of ``strategy``."""
-    clone = strategy.copy()
+    """Mutate ``strategy`` in place and return it."""
     operations = [_add_tree, _mutate_tree, _mutate_tree, _mutate_tree, _drop_tree]
-    rng.choice(operations)(clone, pool, rng)
-    return clone
+    rng.choice(operations)(strategy, pool, rng)
+    return strategy
 
 
 # ----------------------------------------------------------------------

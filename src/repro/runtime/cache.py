@@ -27,11 +27,13 @@ edited result and a truncated file all fail), that the stored shape key
 equals the requested one (a valid file copied under another shape
 fails), and that every record is ``[int, object with "outcome"]``. A
 file that fails a check counts as ``poisoned`` once and is unlinked, so
-the executor re-runs its trials and their new file replaces it. A
-writer writes ``<name>.<pid>.tmp`` and renames it into place: equal
-results give equal bytes under an equal name, so concurrent writers
-publish identical files and no reader sees a half-written one. Readers
-skip the temp files.
+the executor re-runs its trials and their new file replaces it. An
+instance reads each file at most once: it keeps the records of every
+file it has verified, and lists the shape's directory on each lookup so
+that files written since are seen. A writer writes ``<name>.<pid>.tmp``
+and renames it into place: equal results give equal bytes under an
+equal name, so concurrent writers publish identical files and no reader
+sees a half-written one. Readers skip the temp files.
 
 Earlier versions wrote one file per trial, ``<dir>/<sha[:2]>/<sha>.json``
 with ``sha`` the spec hash. Each instance checks once, with one listing
@@ -164,12 +166,12 @@ def payload_result(payload: Dict[str, Any]):
         from ..eval.runner import TrialResult
 
         _TRIAL_RESULT = TrialResult
+    # Positional: outcome, succeeded, censored, detail (trace stays None).
     return _TRIAL_RESULT(
-        outcome=payload["outcome"],
-        succeeded=bool(payload["succeeded"]),
-        censored=bool(payload["censored"]),
-        detail=payload.get("detail", ""),
-        trace=None,
+        payload["outcome"],
+        bool(payload["succeeded"]),
+        bool(payload["censored"]),
+        payload.get("detail", ""),
     )
 
 
@@ -220,6 +222,9 @@ class ResultCache:
         self.stats = CacheStats()
         self._memory: "OrderedDict[Tuple[tuple, int], Dict[str, Any]]" = OrderedDict()
         self._legacy: Optional[bool] = None  # per-entry files present?
+        #: The records of every shape file this instance has verified, by
+        #: path: a file's name is the hash of its bytes, so it is read once.
+        self._verified: Dict[str, List] = {}
 
     # ------------------------------------------------------------------
 
@@ -231,11 +236,11 @@ class ResultCache:
         # The per-entry layout of earlier versions, read as a fallback.
         return f"{self.directory}/{digest[:2]}/{digest}.json"
 
-    def _remember(self, key: Tuple[tuple, int], payload: Dict[str, Any]) -> None:
-        self._memory[key] = payload
-        self._memory.move_to_end(key)
-        while len(self._memory) > self.max_memory_items:
-            self._memory.popitem(last=False)
+    def _evict(self) -> None:
+        """Trim memory to ``max_memory_items``, least recently used first."""
+        memory = self._memory
+        for _ in range(len(memory) - self.max_memory_items):
+            memory.popitem(last=False)
 
     def _has_legacy(self) -> bool:
         """Whether the directory holds per-entry fan-out directories;
@@ -249,29 +254,38 @@ class ResultCache:
         return self._legacy
 
     def _load_shape(self, shape_key: str) -> Dict[int, Dict[str, Any]]:
-        """Every verified record of one shape's files, by seed."""
+        """Every verified record of one shape's files, by seed.
+
+        The directory is listed on every call, so files written since
+        are seen; a file this instance has verified before is not read
+        again.
+        """
         shape_dir = self._shape_dir(shape_key)
         found: Dict[int, Dict[str, Any]] = {}
         try:
             names = sorted(os.listdir(shape_dir))
         except OSError:
             return found
+        verified = self._verified
         for name in names:
             if not name.endswith(".json"):
                 continue  # a writer's temp file
             path = f"{shape_dir}/{name}"
-            try:
-                data = _read_bytes(path)
-            except OSError:
-                continue  # removed since the listing
-            records = _shape_records(name, data, shape_key)
+            records = verified.get(path)
             if records is None:
-                self._poisoned()
                 try:
-                    os.unlink(path)
+                    data = _read_bytes(path)
                 except OSError:
-                    pass
-                continue
+                    continue  # removed since the listing
+                records = _shape_records(name, data, shape_key)
+                if records is None:
+                    self._poisoned()
+                    try:
+                        os.unlink(path)
+                    except OSError:
+                        pass
+                    continue
+                verified[path] = records
             found.update(records)
         return found
 
@@ -309,7 +323,8 @@ class ResultCache:
 
         Each spec is one memory probe. The specs that miss memory are
         grouped by shape, and each shape's files are read and verified
-        once for the whole group.
+        once for the whole group; their hits go into memory, which is
+        trimmed to size once per call.
         """
         memory = self._memory
         payloads: List[Optional[Dict[str, Any]]] = [None] * len(specs)
@@ -331,8 +346,10 @@ class ResultCache:
                     if payload is None and self._has_legacy():
                         payload = self._load_disk(spec.spec_hash(), spec.canonical_key())
                     if payload is not None:
-                        self._remember((shape, spec.seed), payload)
+                        # A missed key is new to memory, so it lands last.
+                        memory[(shape, spec.seed)] = payload
                         payloads[position] = payload
+            self._evict()
         results = [None if p is None else payload_result(p) for p in payloads]
         misses = payloads.count(None)
         self.stats.hits += len(specs) - misses
@@ -346,12 +363,15 @@ class ResultCache:
     def store_many(self, specs: Sequence[TrialSpec], results: Sequence) -> None:
         """Record each result for its spec, in memory and (if the cache
         has a directory) as one new file per shape."""
+        memory = self._memory
         groups: Dict[tuple, Tuple[TrialSpec, Dict[int, Dict[str, Any]]]] = {}
         for spec, result in zip(specs, results):
             shape = spec.shape()
             payload = result_payload(result)
-            self._remember((shape, spec.seed), payload)
+            memory[(shape, spec.seed)] = payload
+            memory.move_to_end((shape, spec.seed))
             groups.setdefault(shape, (spec, {}))[1][spec.seed] = payload
+        self._evict()
         self.stats.stores += len(specs)
         if specs:
             _CACHE_STORES.inc(len(specs))

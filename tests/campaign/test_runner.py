@@ -182,6 +182,38 @@ class TestSharedCache:
         assert ledger_bytes(tmp_path / "reused") == ledger_bytes(tmp_path / "fresh")
 
 
+class TestShapeFileReads:
+    """A campaign's cache reads each shape file at most once per run,
+    however many shards of one shape look it up."""
+
+    def test_each_file_is_read_once_fresh_and_resumed(self, tmp_path, monkeypatch):
+        from repro.runtime import cache as cache_module
+
+        reads = []
+        read_bytes = cache_module._read_bytes
+
+        def counting(path):
+            reads.append(path)
+            return read_bytes(path)
+
+        monkeypatch.setattr(cache_module, "_read_bytes", counting)
+        spec = CampaignSpec(
+            name="one-cell",
+            cells=[CellSpec.build("kazakhstan", "http", 11, trials=10, seed=3)],
+            shard_size=2,
+        )
+        assert run_campaign(spec, tmp_path / "fresh").finalized
+        assert len(shape_files(tmp_path / "fresh")) == 5
+        assert len(reads) == len(set(reads)) == 4  # each shard reads the last file
+
+        out = tmp_path / "resumed"
+        assert not run_campaign(spec, out, max_shards=3).finalized
+        reads.clear()
+        assert run_campaign(spec, out, resume=True).finalized
+        assert len(reads) == len(set(reads)) == 4  # three at resume, one more
+        assert ledger_bytes(out) == ledger_bytes(tmp_path / "fresh")
+
+
 class TestRetries:
     def test_retry_budget_exhaustion_aborts(self, tmp_path, monkeypatch):
         from repro.runtime import TrialExecutor

@@ -25,7 +25,9 @@ from repro.core.evolution import (
     minimize,
     run_islands,
 )
-from repro.runtime import ResultCache, TrialExecutor
+from repro.eval.runner import TrialResult
+from repro.runtime import CellSpec, ResultCache, TrialExecutor
+from repro.runtime.spec import impairment_dict
 
 COUNTRY, PROTOCOL = "kazakhstan", "http"
 
@@ -87,6 +89,60 @@ class TestBatchedParity:
         line = evaluator.stats.format()
         assert line.startswith("ga: submitted=1 evaluated=1")
         assert "batches=1" in line
+
+
+class _RecordingExecutor:
+    """Keeps every spec the evaluator dispatches; every trial evades."""
+
+    def __init__(self):
+        self.specs = []
+
+    def run_batch(self, specs):
+        self.specs.extend(specs)
+        return [TrialResult("success", True, False) for _ in specs]
+
+
+class TestSpecParity:
+    """The evaluator builds its specs from one template per evaluator;
+    they must equal the cell expansion they stand for."""
+
+    @pytest.mark.parametrize(
+        "side, impairment, net_seed",
+        [
+            ("server", None, None),
+            ("client", None, None),
+            ("server", {"loss": 0.2}, None),
+            ("server", {"loss": 0.2}, 7),
+        ],
+    )
+    def test_specs_equal_the_cell_expansion(self, side, impairment, net_seed):
+        executor = _RecordingExecutor()
+        evaluator = make_evaluator(
+            side=side, trials=3, impairment=impairment, net_seed=net_seed,
+            executor=executor,
+        )
+        first, second, third = (
+            Strategy.parse(text)
+            for text in (
+                r"[TCP:flags:SA]-duplicate-| \/",
+                r"[TCP:flags:PA]-tamper{TCP:flags:replace:R}-| \/",
+                r"[TCP:flags:A]-drop-| \/",
+            )
+        )
+        evaluator.evaluate([first, second])
+        evaluator.evaluate([first, third])  # first is a memo hit
+        expected = []
+        for strategy in (first, second, third):
+            expected.extend(
+                CellSpec(
+                    COUNTRY, PROTOCOL, trials=3, seed=7,
+                    impairment=impairment_dict(impairment), net_seed=net_seed,
+                    **{f"{side}_strategy": strategy.canonical_key()},
+                ).trial_specs()
+            )
+        assert executor.specs == expected
+        options = [id(spec.options) for spec in executor.specs]
+        assert len(set(options)) == len(options)  # each spec owns its dict
 
 
 class TestCrossRunCache:

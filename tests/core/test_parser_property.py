@@ -70,6 +70,58 @@ def test_crossover_children_parse(seed_a, seed_b):
 
     rng = random.Random(seed_a ^ seed_b)
     a, b = random_strategy(seed_a), random_strategy(seed_b)
-    child_a, child_b = crossover(a, b, rng)
-    for child in (child_a, child_b):
+    for child in (crossover(a, b, rng), crossover(b, a, rng)):
         assert str(parse_strategy(str(child))) == str(child)
+
+
+def random_action_tree(rng: random.Random):
+    """A random tree over every action class, ``fragment``, ``stall`` and
+    ``recordsplit`` included."""
+    from repro.core import RecordSplitAction, StallAction
+
+    action = GenePool(allow_fragment=True).random_action(rng)
+    wrap = rng.randrange(3)
+    if wrap == 1:
+        return StallAction(rng.randint(0, 2), action)
+    if wrap == 2:
+        return RecordSplitAction(rng.randint(0, 4), action)
+    return action
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=200)
+def test_tree_size_counts_every_node_of_both_forests(seed):
+    from repro.core.evolution import all_nodes, client_side_pool
+
+    rng = random.Random(seed)
+    outbound = [
+        (server_side_pool().random_trigger(rng), random_action_tree(rng))
+        for _ in range(rng.randint(0, 2))
+    ]
+    inbound = [
+        (client_side_pool().random_trigger(rng), random_action_tree(rng))
+        for _ in range(rng.randint(0, 2))
+    ]
+    strategy = Strategy(outbound, inbound)
+    nodes = [node for _, action in outbound + inbound for node in all_nodes(action)]
+    assert strategy.tree_size() == len(nodes)
+    for _, action in outbound + inbound:
+        assert action.tree_size() == len(all_nodes(action))
+
+
+@given(st.integers(0, 10_000), st.integers(0, 10_000))
+@settings(max_examples=60)
+def test_mutating_a_child_leaves_its_parents_alone(seed_a, seed_b):
+    """The GA copies each child once and mutates that copy in place: no
+    node of a child made by ``copy`` or ``crossover`` is a parent's."""
+    from repro.core.evolution import crossover, mutate
+
+    pool = server_side_pool()
+    rng = random.Random(seed_a ^ seed_b)
+    a, b = random_strategy(seed_a), random_strategy(seed_b)
+    before = (str(a), str(b))
+    for _ in range(3):
+        for child in (a.copy(), crossover(a, b, rng), crossover(b, a, rng)):
+            for _ in range(4):
+                mutate(child, pool, rng)
+    assert (str(a), str(b)) == before
